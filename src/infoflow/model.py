@@ -8,7 +8,13 @@ bidirectional exchange needs both flows, and such a pair is called
 complementary.
 
 All values are immutable after construction and every operation is a pure
-function, so they can be shared freely across threads.
+function, so they can be shared freely across threads.  The one piece of
+state a graph gains later is a derived index (vertex numbering, successor
+tuples, availability component count), filled on the first ``reachable``,
+``is_lively`` or ``component_count`` query and reused by every later query
+on the same value.  It is not a field, so equality, hashing and serialized
+output never see it; two threads racing to fill it compute the same value,
+which is harmless.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnknownInterfaceError
 
@@ -123,6 +130,52 @@ class CommonRepresentation:
         object.__setattr__(self, "interfaces", frozenset(self.interfaces))
         object.__setattr__(self, "flows", frozenset(self.flows))
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[InterfaceId, int], tuple[tuple[int, ...], ...]]:
+        """Vertex numbers and the successor numbers of each vertex.
+
+        Declared interfaces are numbered first, then any undeclared flow
+        endpoint, so numbers below ``len(self.interfaces)`` are declared.
+        """
+        ids = {iface: n for n, iface in enumerate(self.interfaces)}
+        successors: list[list[int]] = [[] for _ in ids]
+        for flow in self.flows:
+            try:
+                successors[ids[flow.src]].append(ids[flow.dst])
+            except KeyError:
+                for endpoint in (flow.src, flow.dst):
+                    if endpoint not in ids:
+                        ids[endpoint] = len(successors)
+                        successors.append([])
+                successors[ids[flow.src]].append(ids[flow.dst])
+        return ids, tuple(map(tuple, successors))
+
+    @cached_property
+    def _component_count(self) -> int:
+        """Connected components of the availability graph over the declared interfaces."""
+        successors = self._adjacency[1]
+        n = len(successors)
+        # One integer per flow, so each complementary check is a set lookup.
+        keys = {src * n + dst for src, row in enumerate(successors) for dst in row}
+        mutual = [
+            [dst for dst in row if dst * n + src in keys]
+            for src, row in enumerate(successors)
+        ]
+        seen = bytearray(n)
+        count = 0
+        for start in range(len(self.interfaces)):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = 1
+            stack = [start]
+            while stack:
+                for nxt in mutual[stack.pop()]:
+                    if not seen[nxt]:
+                        seen[nxt] = 1
+                        stack.append(nxt)
+        return count
+
 
 EMPTY_CR = CommonRepresentation()
 
@@ -214,13 +267,22 @@ def connected_components(graph: AvailabilityGraph) -> list[frozenset[InterfaceId
     return components
 
 
+def component_count(cr: CommonRepresentation) -> int:
+    """Number of connected components of the availability graph.
+
+    Read from the graph's index, so only the first query on a value pays
+    for it.
+    """
+    return cr._component_count
+
+
 def is_lively(cr: CommonRepresentation) -> bool:
     """True iff the availability graph has exactly one connected component.
 
     The empty graph has zero components and is therefore not lively; a
     single isolated interface is.
     """
-    return len(connected_components(availability_graph(cr))) == 1
+    return component_count(cr) == 1
 
 
 def reachable(cr: CommonRepresentation, src: InterfaceId, dst: InterfaceId) -> bool:
@@ -233,17 +295,15 @@ def reachable(cr: CommonRepresentation, src: InterfaceId, dst: InterfaceId) -> b
             raise UnknownInterfaceError(f"unknown interface {format_interface(iface)}")
     if src == dst:
         return True
-    successors: dict[InterfaceId, set[InterfaceId]] = {}
-    for flow in cr.flows:
-        successors.setdefault(flow.src, set()).add(flow.dst)
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for nxt in successors.get(v, ()):
-            if nxt == dst:
+    ids, successors = cr._adjacency
+    start, goal = ids[src], ids[dst]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in successors[stack.pop()]:
+            if nxt == goal:
                 return True
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                stack.append(nxt)
     return False

@@ -1,7 +1,7 @@
 """Independent reference implementations used only to cross-check the library.
 
 Nothing here may call into infoflow's own algorithms: components are counted
-with union-find (the library uses BFS), closures come from recursive DFS
+with union-find (the library uses graph search), closures come from recursive DFS
 (the library uses Warshall), and permission flows are enumerated triple by
 triple.
 """

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import infoflow
 from infoflow import (
     CommonRepresentation,
     Explicit,
@@ -291,6 +296,16 @@ class TestCheck:
         entry = json.loads(out)["outcome"]["results"][0]
         assert entry["result"] is False
         assert entry["components"] == 2
+
+    def test_module_entry_point(self, graph_file):
+        env = dict(os.environ, PYTHONPATH=str(Path(infoflow.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoflow", "check", graph_file, "--lively"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["outcome"]["results"]
+        assert results == [{"query": "lively", "result": False, "components": 2}]
 
     def test_reachable_unknown_interface_exits_5(self, graph_file, capsys):
         code, _, err = run(capsys, "check", graph_file, "--reachable", "a#i", "zz#i")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,18 +10,27 @@ from infoflow import (
     Flow,
     GrantResult,
     Implicit,
+    LatticePolicy,
     Mode,
+    RbacSemantics,
     UnknownInterfaceError,
+    append,
+    append_strict,
     availability_graph,
+    component_count,
     connected_components,
+    dumps,
     grant,
+    interface_key,
     inverse,
     is_complementary,
     is_lively,
+    merge,
+    policy_to_cr,
     reachable,
     validate,
 )
-from crgen import POOL, graphs
+from crgen import POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac
 from oracles import (
     dfs_reachable,
     pairwise_complementary_edges,
@@ -189,3 +200,82 @@ class TestReachable:
         for src in g.interfaces:
             for dst in g.interfaces:
                 assert reachable(g, src, dst) == dfs_reachable(g.flows, src, dst)
+
+
+FIELDS = {"interfaces", "flows"}
+
+
+class TestIndex:
+    """Queries share one index per graph value, built on the first query."""
+
+    @given(graphs(max_interfaces=6), st.data())
+    def test_repeated_queries_in_any_order_match_oracles(self, g, data):
+        avail = availability_graph(g)
+        components = union_find_component_count(avail.vertices, avail.edges)
+        ordered = sorted(g.interfaces, key=interface_key)
+        queries = st.one_of(
+            st.just(None),
+            st.tuples(st.sampled_from(ordered), st.sampled_from(ordered))
+            if ordered else st.nothing(),
+        )
+        for query in data.draw(st.lists(queries, max_size=30)):
+            if query is None:
+                assert component_count(g) == components
+                assert is_lively(g) == (components == 1)
+            else:
+                src, dst = query
+                assert reachable(g, src, dst) == dfs_reachable(g.flows, src, dst)
+
+    @given(graphs())
+    def test_index_does_not_leak_into_equality_hash_or_output(self, g):
+        before = dumps(g)
+        is_lively(g)
+        assert set(vars(g)) > FIELDS
+        fresh = CommonRepresentation(g.interfaces, g.flows)
+        assert set(vars(fresh)) == FIELDS
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert dumps(g) == before == dumps(fresh)
+
+    def test_undeclared_endpoint_joins_but_is_not_counted(self):
+        g = cr({A, C}, {Flow(A, B), Flow(B, A), Flow(B, C), Flow(C, B)})
+        assert component_count(g) == 1
+        assert reachable(g, A, C)
+
+
+LATTICE = LatticePolicy(
+    labels={"l0", "l1", "l2"},
+    order={("l0", "l1"), ("l1", "l2")},
+    entities={"e0", "e1", "e2"},
+    labelling={"e0": "l0", "e1": "l1", "e2": "l2"},
+)
+
+
+def queried_operands(rng):
+    """Two random graphs whose indexes are already filled."""
+    a, b = random_cr(rng), random_cr(rng)
+    is_lively(a), is_lively(b)
+    return a, b
+
+
+# Graphs as the library hands them out: translations and composites.
+BUILDERS = {
+    "acl": lambda rng: policy_to_cr(random_acl(rng)),
+    "capabilities": lambda rng: policy_to_cr(random_capabilities(rng)),
+    "lbac": lambda rng: policy_to_cr(LATTICE),
+    "rbac": lambda rng: policy_to_cr(random_rbac(rng), RbacSemantics.CROSS_OBJECT),
+    "merge": lambda rng: merge(*queried_operands(rng)),
+    "append": lambda rng: append(*queried_operands(rng)),
+    "append_strict": lambda rng: append_strict(*queried_operands(rng)),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_index_is_built_on_first_query_only(name):
+    g = BUILDERS[name](random.Random(7))
+    assert set(vars(g)) == FIELDS
+    grant(A, B, g)
+    validate(g)
+    assert set(vars(g)) == FIELDS
+    is_lively(g)
+    assert set(vars(g)) > FIELDS
