@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -29,6 +31,7 @@ from .model import (
     Implicit,
     InterfaceId,
     Mode,
+    _is_utf8,
     component_count,
     flow_key,
     grant,
@@ -85,11 +88,41 @@ def _load_cr(path: str) -> CommonRepresentation:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
+    """Write ``text`` to stdout or to ``output``.
+
+    A regular or new file is replaced atomically: the text goes to a fresh
+    file in the same directory, which then takes the target's name, so a
+    failed write leaves the old file whole.  The new file gets the
+    permission bits ``open(output, "w")`` would give it.  Devices and pipes
+    (``/dev/null``, ``/dev/stdout``) are written in place.
+    """
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+        return
+    target = os.path.realpath(output)
+    try:
+        info: Optional[os.stat_result] = os.stat(target)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        return
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        # Created the way open(target, "w") creates a file: 0o666 less the umask.
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, output) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            if info is not None:
+                os.fchmod(fd, stat.S_IMODE(info.st_mode))
+            handle.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _emit_report(report: Report, output: Optional[str]) -> None:
@@ -102,6 +135,8 @@ def _flow_list(flows: frozenset[Flow]) -> list[dict[str, Any]]:
 
 def parse_interface_token(token: str) -> InterfaceId:
     """Parse ``entity.R``, ``entity.W`` or ``agent#label``."""
+    if not _is_utf8(token):
+        raise QueryError(f"bad interface token {token!r}: not UTF-8 text")
     if "#" in token:
         agent, _, label = token.partition("#")
         if agent and label:
@@ -223,7 +258,10 @@ def _add_output(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument("-o", "--output", metavar="PATH", help=f"write {what} here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; nothing may modify it."""
     parser = argparse.ArgumentParser(
         prog="infoflow",
         description="Translate, compose, analyze and query information-flow graphs.",
@@ -298,3 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

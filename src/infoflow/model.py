@@ -66,18 +66,36 @@ class Implicit:
 InterfaceId = Explicit | Implicit
 
 
-def interface_key(iface: InterfaceId) -> tuple[str, str, str]:
+InterfaceKey = tuple[str, str, str]
+
+
+def interface_key(iface: InterfaceId) -> InterfaceKey:
     """Canonical sort key: variant tag, then names, then mode."""
     if isinstance(iface, Explicit):
-        return ("explicit", iface.entity, iface.mode.value)
+        # ``_value_`` is the plain attribute behind ``Mode.value``'s descriptor,
+        # about five times cheaper to read on this per-endpoint path.
+        return ("explicit", iface.entity, iface.mode._value_)
     return ("implicit", iface.agent, iface.label)
+
+
+def format_key(key: InterfaceKey) -> str:
+    """Render the interface with this :func:`interface_key` as text."""
+    kind, first, second = key
+    return f"{first}.{second}" if kind == "explicit" else f"{first}#{second}"
 
 
 def format_interface(iface: InterfaceId) -> str:
     """Render an interface as text: ``entity.R``, ``entity.W`` or ``agent#label``."""
-    if isinstance(iface, Explicit):
-        return f"{iface.entity}.{iface.mode.value}"
-    return f"{iface.agent}#{iface.label}"
+    return format_key(interface_key(iface))
+
+
+def _is_utf8(name: str) -> bool:
+    """False for a name that cannot be written as UTF-8 (it holds a lone surrogate)."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -110,7 +128,7 @@ def is_complementary(f1: Flow, f2: Flow) -> bool:
     return f2 == f1.inverse()
 
 
-def flow_key(flow: Flow) -> tuple[tuple[str, str, str], tuple[str, str, str]]:
+def flow_key(flow: Flow) -> tuple[InterfaceKey, InterfaceKey]:
     return (interface_key(flow.src), interface_key(flow.dst))
 
 
@@ -196,7 +214,8 @@ def validate(cr: CommonRepresentation) -> list[str]:
     """Well-formedness check.
 
     Returns an empty list iff every flow endpoint is a declared interface
-    and every name component is non-empty; otherwise one entry per problem.
+    and every name component is non-empty UTF-8 text; otherwise one entry
+    per problem.
     """
     problems: list[str] = []
     for iface in sorted(cr.interfaces, key=interface_key):
@@ -207,6 +226,10 @@ def validate(cr: CommonRepresentation) -> list[str]:
         for name, value in parts.items():
             if not value:
                 problems.append(f"interface {format_interface(iface)!r} has an empty {name}")
+            elif not _is_utf8(value):
+                problems.append(
+                    f"interface {format_interface(iface)!r} has a {name} that is not UTF-8 text"
+                )
     for flow in sorted(cr.flows, key=flow_key):
         for endpoint in (flow.src, flow.dst):
             if endpoint not in cr.interfaces:

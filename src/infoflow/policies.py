@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .errors import SchemaError, ValidationError
-from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode
+from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _is_utf8
 
 # Label carried by the implicit interfaces a lattice policy produces.
 LBAC_LABEL = "lbac"
@@ -150,8 +150,17 @@ def validate_policy(p: SourcePolicy) -> list[str]:
     raise TypeError(f"not a source policy: {type(p).__name__}")
 
 
-def _check_names(names: Iterable[str], kind: str) -> list[str]:
-    return [f"empty {kind} name" for name in names if not name]
+def _check_names(names: Collection[str], kind: str) -> list[str]:
+    """One problem per empty name and per name that cannot be written as UTF-8."""
+    problems = [f"empty {kind} name" for name in names if not name]
+    # UTF-8 rejects every surrogate, paired or not, so one encode of the
+    # joined names tells whether any single name fails.
+    if not _is_utf8("".join(names)):
+        problems += [
+            f"{kind} name {name!r} is not UTF-8 text"
+            for name in sorted(name for name in names if not _is_utf8(name))
+        ]
+    return problems
 
 
 def _validate_listing(p: AclPolicy | CapabilityPolicy, *, keyed_by: frozenset[str],
@@ -193,15 +202,11 @@ def _validate_lattice(p: LatticePolicy) -> list[str]:
 
 
 def _validate_rbac(p: RbacPolicy) -> list[str]:
-    problems = _check_names(p.roles, "role")
+    assigned = {name for grants in p.assignments.values() for name, _mode in grants}
+    problems = _check_names(p.roles, "role") + _check_names(assigned, "assigned object")
     for role in sorted(p.assignments):
         if role not in p.roles:
             problems.append(f"assignment names undeclared role {role!r}")
-        problems += [
-            "empty object name in assignment"
-            for name, _mode in p.assignments[role]
-            if not name
-        ]
     for senior, junior in sorted(p.hierarchy):
         for role in (senior, junior):
             if role not in p.roles:
@@ -231,6 +236,11 @@ def acl_to_cr(p: AclPolicy) -> CommonRepresentation:
     becomes (o.R, s.W): the object's content moves to the subject.
     """
     _check_valid(p)
+    return _listing_to_cr(p)
+
+
+def _listing_to_cr(p: AclPolicy) -> CommonRepresentation:
+    """:func:`acl_to_cr` of a policy already known to be valid."""
     interfaces = {
         Explicit(name, mode)
         for name in p.objects | p.subjects
@@ -263,7 +273,7 @@ def capability_to_cr(p: CapabilityPolicy) -> CommonRepresentation:
     """Translate a subject-keyed permission list; identical flows to the
     object-keyed form of the same matrix."""
     _check_valid(p)
-    return acl_to_cr(transpose_capabilities(p))
+    return _listing_to_cr(transpose_capabilities(p))
 
 
 def lattice_dominates(p: LatticePolicy, l1: str, l2: str) -> bool:

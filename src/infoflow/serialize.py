@@ -1,25 +1,51 @@
 """Canonical JSON interchange for flow graphs, plus DOT export.
 
-A graph document looks like::
+:func:`dumps` writes one fixed byte layout, and that layout is the
+contract: two-space indentation, one key per line, keys in the order shown,
+UTF-8 text in which only ``"``, ``\\`` and the control characters
+U+0000-U+001F are escaped, and a trailing newline::
 
     {
       "interfaces": [
-        {"kind": "explicit", "entity": "o1", "mode": "R"},
-        {"kind": "implicit", "agent": "alice", "label": "chat"}
+        {
+          "kind": "explicit",
+          "entity": "o1",
+          "mode": "R"
+        },
+        {
+          "kind": "implicit",
+          "agent": "alice",
+          "label": "chat"
+        }
       ],
       "flows": [
-        {"from": {...}, "to": {...}}
+        {
+          "from": {
+            "kind": "explicit",
+            "entity": "o1",
+            "mode": "R"
+          },
+          "to": {
+            "kind": "implicit",
+            "agent": "alice",
+            "label": "chat"
+          }
+        }
       ]
     }
 
-Arrays are emitted in canonical order (variant tag, then names, then mode),
-so serialization is deterministic byte for byte.  Loading is strict:
-unknown or missing fields raise :class:`SchemaError`.
+This is exactly the text of ``json.dumps(cr_to_dict(cr), indent=2,
+ensure_ascii=False) + "\\n"``; :func:`dumps` writes it directly, without
+building the dict tree.  Arrays are in canonical order (variant tag, then
+names, then mode), so serialization is deterministic byte for byte.
+Loading is strict: unknown or missing fields raise :class:`SchemaError`.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Set
+from json.encoder import encode_basestring
 from typing import Any
 
 from .errors import SchemaError, ValidationError
@@ -29,14 +55,34 @@ from .model import (
     Flow,
     Implicit,
     InterfaceId,
+    InterfaceKey,
     Mode,
     flow_key,
-    format_interface,
+    format_key,
     interface_key,
 )
 
+# The document fields of each interface kind, in output order; they line up
+# with the parts of its :func:`interface_key`.
+_FIELDS = {
+    "explicit": ("kind", "entity", "mode"),
+    "implicit": ("kind", "agent", "label"),
+}
+_FIELD_SETS = {kind: frozenset(fields) for kind, fields in _FIELDS.items()}
 
-def _require_keys(obj: dict[str, Any], required: set[str], where: str) -> None:
+
+def _canonical(
+    cr: CommonRepresentation,
+) -> tuple[list[InterfaceKey], list[tuple[InterfaceKey, InterfaceKey]]]:
+    """The graph's interface keys and flow key pairs, each in canonical order."""
+    return sorted(map(interface_key, cr.interfaces)), sorted(map(flow_key, cr.flows))
+
+
+def _key_to_dict(key: InterfaceKey) -> dict[str, str]:
+    return dict(zip(_FIELDS[key[0]], key))
+
+
+def _require_keys(obj: dict[str, Any], required: Set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     missing = required - obj.keys()
@@ -54,9 +100,7 @@ def _require_str(value: Any, where: str) -> str:
 
 
 def interface_to_dict(iface: InterfaceId) -> dict[str, str]:
-    if isinstance(iface, Explicit):
-        return {"kind": "explicit", "entity": iface.entity, "mode": iface.mode.value}
-    return {"kind": "implicit", "agent": iface.agent, "label": iface.label}
+    return _key_to_dict(interface_key(iface))
 
 
 def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
@@ -64,13 +108,13 @@ def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "explicit":
-        _require_keys(obj, {"kind", "entity", "mode"}, where)
+        _require_keys(obj, _FIELD_SETS[kind], where)
         mode = obj["mode"]
         if mode not in ("R", "W"):
             raise SchemaError(f"{where}: mode must be 'R' or 'W', got {mode!r}")
         return Explicit(_require_str(obj["entity"], f"{where}.entity"), Mode(mode))
     if kind == "implicit":
-        _require_keys(obj, {"kind", "agent", "label"}, where)
+        _require_keys(obj, _FIELD_SETS[kind], where)
         return Implicit(
             _require_str(obj["agent"], f"{where}.agent"),
             _require_str(obj["label"], f"{where}.label"),
@@ -93,11 +137,10 @@ def flow_from_dict(obj: Any, where: str = "flow") -> Flow:
 
 
 def cr_to_dict(cr: CommonRepresentation) -> dict[str, Any]:
+    interfaces, flows = _canonical(cr)
     return {
-        "interfaces": [
-            interface_to_dict(i) for i in sorted(cr.interfaces, key=interface_key)
-        ],
-        "flows": [flow_to_dict(f) for f in sorted(cr.flows, key=flow_key)],
+        "interfaces": [_key_to_dict(key) for key in interfaces],
+        "flows": [{"from": _key_to_dict(src), "to": _key_to_dict(dst)} for src, dst in flows],
     }
 
 
@@ -113,9 +156,33 @@ def cr_from_dict(obj: Any) -> CommonRepresentation:
     return CommonRepresentation(interfaces=interfaces, flows=flows)
 
 
+def _block(key: InterfaceKey, indent: str) -> str:
+    """The interface object of ``key`` as indented JSON text, its fields at ``indent``."""
+    fields = f",\n{indent}".join(
+        f'"{name}": {encode_basestring(value)}' for name, value in zip(_FIELDS[key[0]], key)
+    )
+    return f"{{\n{indent}{fields}\n{indent[2:]}}}"
+
+
+def _array(items: list[str]) -> str:
+    """A top-level key's array value, its items already in indented text."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def dumps(cr: CommonRepresentation) -> str:
-    """Serialize to canonical, newline-terminated JSON text."""
-    return json.dumps(cr_to_dict(cr), indent=2, ensure_ascii=False) + "\n"
+    """Serialize to canonical, newline-terminated JSON text (the layout in the module docstring)."""
+    interfaces, flows = _canonical(cr)
+    endpoints = {key: _block(key, " " * 8) for key in {key for pair in flows for key in pair}}
+    return (
+        '{\n  "interfaces": '
+        + _array([_block(key, " " * 6) for key in interfaces])
+        + ',\n  "flows": '
+        + _array([
+            f'{{\n      "from": {endpoints[src]},\n      "to": {endpoints[dst]}\n    }}'
+            for src, dst in flows
+        ])
+        + "\n}\n"
+    )
 
 
 def loads(text: str) -> CommonRepresentation:
@@ -137,12 +204,12 @@ def to_dot(cr: CommonRepresentation) -> str:
     Explicit interfaces become ``entity.R`` / ``entity.W`` nodes, implicit
     ones ``agent#label``; one edge per flow, everything in canonical order.
     """
+    interfaces, flows = _canonical(cr)
     lines = ["digraph cr {"]
-    for iface in sorted(cr.interfaces, key=interface_key):
-        lines.append(f"  {_dot_quote(format_interface(iface))};")
-    for flow in sorted(cr.flows, key=flow_key):
-        src = _dot_quote(format_interface(flow.src))
-        dst = _dot_quote(format_interface(flow.dst))
-        lines.append(f"  {src} -> {dst};")
+    lines += [f"  {_dot_quote(format_key(key))};" for key in interfaces]
+    lines += [
+        f"  {_dot_quote(format_key(src))} -> {_dot_quote(format_key(dst))};"
+        for src, dst in flows
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"

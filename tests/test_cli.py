@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from infoflow import (
     dumps,
     loads,
 )
+from infoflow import cli
 from infoflow.cli import main, parse_interface_token
 from crgen import random_cr
 
@@ -130,6 +132,76 @@ class TestTranslate:
         policy = write(tmp_path, "acl.json", doc)
         code, _, err = run(capsys, "translate", policy)
         assert code == 3 and "s2" in err
+
+    def test_name_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        doc = dict(ACL_DOC, objects=["o1", "o2", "o3", "o\ud800"])
+        policy = write(tmp_path, "acl.json", doc)   # the file holds the \\ud800 escape
+        out_path = tmp_path / "out.json"
+        out_path.write_text("old\n", encoding="utf-8")
+        code, out, err = run(capsys, "translate", policy, "-o", str(out_path))
+        assert code == 3 and "not UTF-8" in err and "\\ud800" in err
+        assert out_path.read_text(encoding="utf-8") == "old\n"
+        code, out, err = run(capsys, "translate", policy)
+        assert code == 3 and out == ""
+
+
+class TestOutputFile:
+    """``-o`` replaces its target atomically."""
+
+    @pytest.fixture
+    def policy(self, tmp_path):
+        return write(tmp_path, "acl.json", ACL_DOC)
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, policy, capsys):
+        umask = os.umask(0o027)
+        try:
+            code, _, _ = run(capsys, "translate", policy, "-o", str(tmp_path / "out.json"))
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o666 & ~0o027
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, policy, capsys):
+        out_path = tmp_path / "out.json"
+        out_path.write_text("old\n", encoding="utf-8")
+        out_path.chmod(0o604)
+        code, _, _ = run(capsys, "translate", policy, "-o", str(out_path))
+        assert code == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o604
+        assert len(loads(out_path.read_text(encoding="utf-8")).flows) == 9
+
+    def test_failed_replace_keeps_old_file_and_no_temporary(self, tmp_path, policy, capsys,
+                                                             monkeypatch):
+        out_path = tmp_path / "out.json"
+        out_path.write_text("old\n", encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+
+        def refuse(src, dst):
+            raise PermissionError(13, "refused", dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, _, err = run(capsys, "translate", policy, "-o", str(out_path))
+        assert code == 2 and "refused" in err
+        assert out_path.read_text(encoding="utf-8") == "old\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_write_failing_partway_keeps_old_file_and_no_temporary(self, tmp_path):
+        out_path = tmp_path / "out.json"
+        out_path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            cli._emit("x" * 100_000 + "\ud800", str(out_path))
+        assert out_path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_missing_directory_exits_2_naming_the_target(self, tmp_path, policy, capsys):
+        target = str(tmp_path / "gone" / "out.json")
+        code, _, err = run(capsys, "translate", policy, "-o", target)
+        assert code == 2 and f"'{target}'" in err and ".tmp" not in err
+
+    def test_device_is_written_in_place(self, policy, capsys):
+        code, out, _ = run(capsys, "translate", policy, "-o", os.devnull)
+        assert code == 0 and out == ""
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestCompose:
@@ -299,13 +371,15 @@ class TestCheck:
 
     def test_module_entry_point(self, graph_file):
         env = dict(os.environ, PYTHONPATH=str(Path(infoflow.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "infoflow", "check", graph_file, "--lively"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        results = json.loads(proc.stdout)["outcome"]["results"]
-        assert results == [{"query": "lively", "result": False, "components": 2}]
+        for module in ("infoflow", "infoflow.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "check", graph_file, "--lively"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            results = json.loads(proc.stdout)["outcome"]["results"]
+            assert results == [{"query": "lively", "result": False, "components": 2}]
 
     def test_reachable_unknown_interface_exits_5(self, graph_file, capsys):
         code, _, err = run(capsys, "check", graph_file, "--reachable", "a#i", "zz#i")
@@ -314,6 +388,20 @@ class TestCheck:
     def test_bad_token_exits_5(self, graph_file, capsys):
         code, _, err = run(capsys, "check", graph_file, "--grant", "noport", "a#i")
         assert code == 5 and "noport" in err
+
+    def test_graph_name_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        doc = {"interfaces": [{"kind": "explicit", "entity": "o\ud800", "mode": "R"}],
+               "flows": []}
+        code, out, err = run(capsys, "check", write(tmp_path, "cr.json", doc), "--lively")
+        assert code == 3 and out == "" and "not UTF-8" in err
+
+    def test_token_that_is_not_utf8_exits_5(self, graph_file, tmp_path, capsys):
+        # What a non-UTF-8 byte in argv decodes to under surrogateescape.
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "check", graph_file, "--grant", "\udcff.R", "a#i",
+                           "-o", str(report))
+        assert code == 5 and "not UTF-8" in err
+        assert not report.exists()
 
     def test_explicit_tokens(self, tmp_path, capsys):
         o_r, s_w = Explicit("o", Mode.R), Explicit("s", Mode.W)
@@ -346,6 +434,10 @@ class TestRoundTrip:
             text = dumps(cr)
             assert loads(text) == cr
             assert dumps(loads(text)) == text
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_interface_token_parsing():

@@ -101,6 +101,10 @@ class TestValidate:
         problems = validate(cr({Implicit("", "x")}))
         assert len(problems) == 1 and "empty" in problems[0]
 
+    def test_name_that_is_not_utf8_reported(self):
+        problems = validate(cr({Implicit("a", "x\ud800"), Explicit("zoë", Mode.R)}))
+        assert problems == ["interface 'a#x\\ud800' has a label that is not UTF-8 text"]
+
 
 class TestGrant:
     def test_permit_when_flow_present(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from infoflow import policies
 from infoflow import (
     AclPolicy,
     CapabilityPolicy,
@@ -170,6 +171,41 @@ class TestCapabilityTranslation:
     def test_empty_capability_list(self):
         policy = CapabilityPolicy(objects={"o1"}, subjects={"s1"}, entries={})
         assert capability_to_cr(policy).flows == frozenset()
+
+    def test_invalid_policy_raises(self):
+        # An empty list under an undeclared subject vanishes when the grants
+        # are regrouped by object, so only the subject-keyed check sees it.
+        policy = CapabilityPolicy(objects={"o1"}, subjects={"s1"}, entries={"ghost": set()})
+        with pytest.raises(ValidationError, match="'ghost'"):
+            capability_to_cr(policy)
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        original = policies.validate_policy
+        monkeypatch.setattr(policies, "validate_policy", lambda p: calls.append(p) or original(p))
+        policy = CapabilityPolicy(objects={"o1"}, subjects={"s1"}, entries={"s1": {("o1", W)}})
+        capability_to_cr(policy)
+        assert calls == [policy]
+
+
+class TestNamesMustBeUtf8:
+    def test_listing_name(self):
+        policy = AclPolicy(objects={"o\ud800"}, subjects={"s"}, entries={})
+        assert validate_policy(policy) == ["object name 'o\\ud800' is not UTF-8 text"]
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            acl_to_cr(policy)
+
+    def test_lattice_entity(self):
+        policy = LatticePolicy(labels={"l"}, order=set(), entities={"\udc80"},
+                               labelling={"\udc80": "l"})
+        assert any("not UTF-8" in p for p in validate_policy(policy))
+
+    def test_rbac_assigned_object(self):
+        policy = RbacPolicy(roles={"r"}, assignments={"r": {("o\ud800", R)}}, hierarchy=set())
+        assert validate_policy(policy) == ["assigned object name 'o\\ud800' is not UTF-8 text"]
+
+    def test_non_ascii_is_fine(self):
+        assert validate_policy(AclPolicy(objects={"zoë"}, subjects={"\u2028"}, entries={})) == []
 
 
 def lattice(entities_by_label, order):

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from infoflow import (
     CommonRepresentation,
@@ -21,6 +21,81 @@ from crgen import graphs
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
+
+# Names that stress the encoder: JSON escapes, control characters, non-ASCII,
+# U+2028, a lone surrogate, and the token grammar's own "#" and ".R"/".W".
+AWKWARD = st.text(
+    st.sampled_from(['a', 'b', '"', '\\', '\x00', '\n', '\x1f', '\x7f', 'é', '中',
+                     '\u2028', '\ud800', '#', '.', 'R', 'W']),
+    max_size=5,
+) | st.sampled_from(["x#y", "o.R", "a.W", ""])
+INTERFACES = st.builds(Explicit, AWKWARD, st.sampled_from(Mode)) | st.builds(
+    Implicit, AWKWARD, AWKWARD
+)
+
+
+@st.composite
+def awkward_graphs(draw):
+    """Graphs over awkward names, with some flow endpoints left undeclared."""
+    declared = draw(st.lists(INTERFACES, max_size=6))
+    pool = declared + draw(st.lists(INTERFACES, max_size=3))
+    if not pool:
+        return CommonRepresentation()
+    ends = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=10))
+    return CommonRepresentation(declared, {Flow(a, b) for a, b in pairs if a != b})
+
+
+def reference_dumps(g):
+    """The indented standard-library encoding that defines the canonical layout."""
+    return json.dumps(cr_to_dict(g), indent=2, ensure_ascii=False) + "\n"
+
+
+@given(awkward_graphs())
+@example(CommonRepresentation())
+def test_dumps_is_byte_identical_to_the_reference_encoder(g):
+    assert dumps(g) == reference_dumps(g)
+
+
+def test_layout_is_the_documented_one():
+    o_r = Explicit("o1", Mode.R)
+    alice = Implicit("alice", "chat")
+    text = dumps(CommonRepresentation({alice, o_r}, {Flow(o_r, alice)}))
+    assert text == """{
+  "interfaces": [
+    {
+      "kind": "explicit",
+      "entity": "o1",
+      "mode": "R"
+    },
+    {
+      "kind": "implicit",
+      "agent": "alice",
+      "label": "chat"
+    }
+  ],
+  "flows": [
+    {
+      "from": {
+        "kind": "explicit",
+        "entity": "o1",
+        "mode": "R"
+      },
+      "to": {
+        "kind": "implicit",
+        "agent": "alice",
+        "label": "chat"
+      }
+    }
+  ]
+}
+"""
+    assert dumps(CommonRepresentation()) == '{\n  "interfaces": [],\n  "flows": []\n}\n'
+
+
+def test_non_ascii_is_written_unescaped():
+    text = dumps(CommonRepresentation({Implicit("zoë", "\u2028")}))
+    assert '"agent": "zoë"' in text and '"label": "\u2028"' in text
 
 
 @given(graphs())
