@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from . import analyze, compose, rules, serialize
+from . import analyze, rules, serialize
 from .errors import SchemaError, UnknownInterfaceError, ValidationError
 from .model import (
     CommonRepresentation,
@@ -73,10 +73,7 @@ def _read_json(path: str) -> Any:
             text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    return serialize.decode_json(text, path)
 
 
 def _load_cr(path: str) -> CommonRepresentation:
@@ -163,15 +160,9 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         _err("compose rule needs --rule RULE_FILE")
         return 2
     crs = [_load_cr(path) for path in args.crs]
-
-    if args.op == "merge":
-        _emit(serialize.dumps(compose.merge_all(crs)), args.output)
-        return 0
-    if args.op == "append":
-        _emit(serialize.dumps(compose.append_all(crs)), args.output)
-        return 0
-    if args.op == "append-strict":
-        _emit(serialize.dumps(functools.reduce(compose.append_strict, crs)), args.output)
+    if args.op != "rule":
+        composer = rules._COMPOSERS[rules.Action(args.op)]
+        _emit(serialize.dumps(functools.reduce(composer, crs)), args.output)
         return 0
 
     rule = rules.rule_from_dict(_read_json(args.rule_file))

@@ -2,12 +2,11 @@
 
 Both operations assume consistent interface naming: an interface appearing
 in both operands is the same interface.  Merge is commutative; append is
-not, so the n-ary fold is strictly left-to-right.
+not, so a fold over several graphs (``functools.reduce``) must keep their
+order.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .model import CommonRepresentation
 
@@ -55,23 +54,3 @@ def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRep
         interfaces=a.interfaces | b.interfaces,
         flows=a.flows | survivors,
     )
-
-
-def merge_all(crs: Sequence[CommonRepresentation]) -> CommonRepresentation:
-    """Fold of :func:`merge`; the result is independent of order."""
-    if not crs:
-        raise ValueError("merge_all needs at least one graph")
-    result = crs[0]
-    for cr in crs[1:]:
-        result = merge(result, cr)
-    return result
-
-
-def append_all(crs: Sequence[CommonRepresentation]) -> CommonRepresentation:
-    """Left-to-right fold of :func:`append`; order matters."""
-    if not crs:
-        raise ValueError("append_all needs at least one graph")
-    result = crs[0]
-    for cr in crs[1:]:
-        result = append(result, cr)
-    return result

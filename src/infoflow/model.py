@@ -20,7 +20,6 @@ which is harmless.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,15 +116,6 @@ class Flow:
     def inverse(self) -> "Flow":
         """The reverse flow; ``f.inverse().inverse() == f``."""
         return Flow(self.dst, self.src)
-
-
-def inverse(flow: Flow) -> Flow:
-    return flow.inverse()
-
-
-def is_complementary(f1: Flow, f2: Flow) -> bool:
-    """True iff the two flows form a bidirectional pair."""
-    return f2 == f1.inverse()
 
 
 def flow_key(flow: Flow) -> tuple[InterfaceKey, InterfaceKey]:
@@ -263,31 +253,6 @@ def availability_graph(cr: CommonRepresentation) -> AvailabilityGraph:
         frozenset((f.src, f.dst)) for f in cr.flows if f.inverse() in cr.flows
     }
     return AvailabilityGraph(vertices=cr.interfaces, edges=edges)
-
-
-def connected_components(graph: AvailabilityGraph) -> list[frozenset[InterfaceId]]:
-    """Components of the undirected graph, in canonical vertex order."""
-    neighbours: dict[InterfaceId, set[InterfaceId]] = {v: set() for v in graph.vertices}
-    for edge in graph.edges:
-        a, b = tuple(edge)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    seen: set[InterfaceId] = set()
-    components: list[frozenset[InterfaceId]] = []
-    for start in sorted(graph.vertices, key=interface_key):
-        if start in seen:
-            continue
-        queue = deque([start])
-        component: set[InterfaceId] = set()
-        while queue:
-            v = queue.popleft()
-            if v in component:
-                continue
-            component.add(v)
-            queue.extend(neighbours[v] - component)
-        seen |= component
-        components.append(frozenset(component))
-    return components
 
 
 def component_count(cr: CommonRepresentation) -> int:

@@ -10,16 +10,21 @@ Three policy families are supported:
   translated from the privileges each role accumulates through the
   transitive closure of the hierarchy.
 
-Every translation yields a well-formed :class:`~infoflow.model.CommonRepresentation`.
+A policy is checked when it is constructed: one that breaks an invariant of
+its family (an empty, undeclared or non-UTF-8 name, a lattice order that is
+not antisymmetric, a cyclic role hierarchy) raises :class:`ValidationError`
+listing every problem, so no invalid policy exists.  Every translation
+therefore takes its input as valid and yields a well-formed
+:class:`~infoflow.model.CommonRepresentation`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Collection, Iterable, Mapping
+from typing import Any, Callable, ClassVar, Collection, Iterable, Mapping
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, strict_object
 from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _is_utf8
 
 # Label carried by the implicit interfaces a lattice policy produces.
@@ -47,31 +52,31 @@ def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> dict[s
 
 
 @dataclass(frozen=True)
-class AclPolicy:
+class _ListingPolicy:
+    """Permission lists: ``entries`` maps each key to a set of (name, mode) grants."""
+
+    objects: frozenset[str]
+    subjects: frozenset[str]
+    entries: Mapping[str, Grants]
+    kind: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "objects", frozenset(self.objects))
+        object.__setattr__(self, "subjects", frozenset(self.subjects))
+        object.__setattr__(self, "entries", _freeze_entries(self.entries))
+        _check_valid(self)
+
+
+class AclPolicy(_ListingPolicy):
     """Object-keyed permission lists: entries maps object -> {(subject, mode)}."""
 
-    objects: frozenset[str]
-    subjects: frozenset[str]
-    entries: Mapping[str, Grants]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", frozenset(self.objects))
-        object.__setattr__(self, "subjects", frozenset(self.subjects))
-        object.__setattr__(self, "entries", _freeze_entries(self.entries))
+    kind = "acl"
 
 
-@dataclass(frozen=True)
-class CapabilityPolicy:
+class CapabilityPolicy(_ListingPolicy):
     """Subject-keyed permission lists: entries maps subject -> {(object, mode)}."""
 
-    objects: frozenset[str]
-    subjects: frozenset[str]
-    entries: Mapping[str, Grants]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", frozenset(self.objects))
-        object.__setattr__(self, "subjects", frozenset(self.subjects))
-        object.__setattr__(self, "entries", _freeze_entries(self.entries))
+    kind = "capabilities"
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,14 @@ class LatticePolicy:
     order: frozenset[tuple[str, str]]
     entities: frozenset[str]
     labelling: Mapping[str, str]
+    kind: ClassVar[str] = "lbac"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "order", frozenset(tuple(p) for p in self.order))
         object.__setattr__(self, "entities", frozenset(self.entities))
         object.__setattr__(self, "labelling", dict(self.labelling))
+        _check_valid(self)
 
 
 @dataclass(frozen=True)
@@ -106,11 +113,13 @@ class RbacPolicy:
     roles: frozenset[str]
     assignments: Mapping[str, Grants]
     hierarchy: frozenset[tuple[str, str]]
+    kind: ClassVar[str] = "rbac"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roles", frozenset(self.roles))
         object.__setattr__(self, "assignments", _freeze_entries(self.assignments))
         object.__setattr__(self, "hierarchy", frozenset(tuple(p) for p in self.hierarchy))
+        _check_valid(self)
 
 
 SourcePolicy = AclPolicy | CapabilityPolicy | LatticePolicy | RbacPolicy
@@ -136,18 +145,18 @@ def _label_closure(p: LatticePolicy) -> set[tuple[str, str]]:
 
 
 def validate_policy(p: SourcePolicy) -> list[str]:
-    """All invariant violations of a source policy, empty when valid."""
-    if isinstance(p, AclPolicy):
-        return _validate_listing(p, keyed_by=p.objects, granting=p.subjects,
-                                 key_kind="object", grant_kind="subject")
-    if isinstance(p, CapabilityPolicy):
-        return _validate_listing(p, keyed_by=p.subjects, granting=p.objects,
-                                 key_kind="subject", grant_kind="object")
-    if isinstance(p, LatticePolicy):
-        return _validate_lattice(p)
-    if isinstance(p, RbacPolicy):
-        return _validate_rbac(p)
-    raise TypeError(f"not a source policy: {type(p).__name__}")
+    """All invariant violations of a source policy, empty when valid.
+
+    Every policy constructor calls it, so on a constructed policy it
+    returns an empty list.
+    """
+    return _family(p).validate(p)
+
+
+def _check_valid(p: SourcePolicy) -> None:
+    problems = validate_policy(p)
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
 def _check_names(names: Collection[str], kind: str) -> list[str]:
@@ -163,8 +172,8 @@ def _check_names(names: Collection[str], kind: str) -> list[str]:
     return problems
 
 
-def _validate_listing(p: AclPolicy | CapabilityPolicy, *, keyed_by: frozenset[str],
-                      granting: frozenset[str], key_kind: str, grant_kind: str) -> list[str]:
+def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: frozenset[str],
+                      key_kind: str, grant_kind: str) -> list[str]:
     problems = _check_names(p.objects, "object") + _check_names(p.subjects, "subject")
     for name in sorted(p.objects & p.subjects):
         problems.append(f"name {name!r} is declared as both an object and a subject")
@@ -221,10 +230,21 @@ def _validate_rbac(p: RbacPolicy) -> list[str]:
     return problems
 
 
-def _check_valid(p: SourcePolicy) -> None:
-    problems = validate_policy(p)
-    if problems:
-        raise ValidationError("; ".join(problems))
+def _listing_cr(p: _ListingPolicy,
+                grants: Iterable[tuple[str, str, Mode]]) -> CommonRepresentation:
+    """The graph of a permission list whose grants are (object, subject, mode)."""
+    interfaces = {
+        Explicit(name, mode)
+        for name in p.objects | p.subjects
+        for mode in (Mode.R, Mode.W)
+    }
+    flows = {
+        Flow(Explicit(subject, Mode.R), Explicit(obj, Mode.W))
+        if mode is Mode.W
+        else Flow(Explicit(obj, Mode.R), Explicit(subject, Mode.W))
+        for obj, subject, mode in grants
+    }
+    return CommonRepresentation(interfaces=interfaces, flows=flows)
 
 
 def acl_to_cr(p: AclPolicy) -> CommonRepresentation:
@@ -235,25 +255,9 @@ def acl_to_cr(p: AclPolicy) -> CommonRepresentation:
     subject's content moves into the object.  A read permission (s, R)
     becomes (o.R, s.W): the object's content moves to the subject.
     """
-    _check_valid(p)
-    return _listing_to_cr(p)
-
-
-def _listing_to_cr(p: AclPolicy) -> CommonRepresentation:
-    """:func:`acl_to_cr` of a policy already known to be valid."""
-    interfaces = {
-        Explicit(name, mode)
-        for name in p.objects | p.subjects
-        for mode in (Mode.R, Mode.W)
-    }
-    flows = set()
-    for obj in p.entries:
-        for subject, mode in p.entries[obj]:
-            if mode is Mode.W:
-                flows.add(Flow(Explicit(subject, Mode.R), Explicit(obj, Mode.W)))
-            else:
-                flows.add(Flow(Explicit(obj, Mode.R), Explicit(subject, Mode.W)))
-    return CommonRepresentation(interfaces=interfaces, flows=flows)
+    return _listing_cr(p, (
+        (obj, subject, mode) for obj, grants in p.entries.items() for subject, mode in grants
+    ))
 
 
 def transpose_capabilities(p: CapabilityPolicy) -> AclPolicy:
@@ -272,8 +276,9 @@ def transpose_capabilities(p: CapabilityPolicy) -> AclPolicy:
 def capability_to_cr(p: CapabilityPolicy) -> CommonRepresentation:
     """Translate a subject-keyed permission list; identical flows to the
     object-keyed form of the same matrix."""
-    _check_valid(p)
-    return _listing_to_cr(transpose_capabilities(p))
+    return _listing_cr(p, (
+        (obj, subject, mode) for subject, grants in p.entries.items() for obj, mode in grants
+    ))
 
 
 def lattice_dominates(p: LatticePolicy, l1: str, l2: str) -> bool:
@@ -291,7 +296,6 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
     ordered pair of distinct entities whose labels satisfy dominance gets a
     flow.  Equal labels yield flows in both directions.
     """
-    _check_valid(p)
     closure = _label_closure(p)
     interfaces = {Implicit(e, LBAC_LABEL) for e in p.entities}
     flows = {
@@ -305,7 +309,6 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
 
 def rbac_closure(p: RbacPolicy) -> frozenset[tuple[str, str]]:
     """Transitive closure of the role hierarchy."""
-    _check_valid(p)
     return frozenset(_warshall(sorted(p.roles), p.hierarchy))
 
 
@@ -334,7 +337,6 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
     """
     if not isinstance(semantics, RbacSemantics):
         raise ValueError(f"unknown semantics {semantics!r}")
-    _check_valid(p)
     juniors: dict[str, list[str]] = {}
     for senior, junior in _warshall(sorted(p.roles), p.hierarchy):
         juniors.setdefault(senior, []).append(junior)
@@ -363,16 +365,9 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
 
 def policy_to_cr(policy: SourcePolicy,
                  rbac_semantics: RbacSemantics = RbacSemantics.LITERAL) -> CommonRepresentation:
-    """Dispatch a policy of any supported family to its translation."""
-    if isinstance(policy, AclPolicy):
-        return acl_to_cr(policy)
-    if isinstance(policy, CapabilityPolicy):
-        return capability_to_cr(policy)
-    if isinstance(policy, LatticePolicy):
-        return lbac_to_cr(policy)
-    if isinstance(policy, RbacPolicy):
-        return rbac_to_cr(policy, rbac_semantics)
-    raise TypeError(f"not a source policy: {type(policy).__name__}")
+    """Dispatch a policy of any supported family to its translation;
+    ``rbac_semantics`` applies to role policies only."""
+    return _family(policy).translate(policy, rbac_semantics)
 
 
 # -- policy file schema ------------------------------------------------------
@@ -423,15 +418,6 @@ def _parse_str_map(value: Any, where: str) -> dict[str, str]:
     return dict(value)
 
 
-def _require_fields(obj: dict[str, Any], fields: set[str]) -> None:
-    missing = fields - obj.keys()
-    if missing:
-        raise SchemaError(f"policy: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - fields - {"kind"}
-    if unknown:
-        raise SchemaError(f"policy: unknown field {sorted(unknown)[0]!r}")
-
-
 def policy_from_dict(obj: Any) -> SourcePolicy:
     """Parse a policy document; the ``kind`` tag picks the family.
 
@@ -441,32 +427,56 @@ def policy_from_dict(obj: Any) -> SourcePolicy:
     if not isinstance(obj, dict):
         raise SchemaError(f"policy: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind in ("acl", "capabilities"):
-        _require_fields(obj, {"objects", "subjects", "entries"})
-        cls = AclPolicy if kind == "acl" else CapabilityPolicy
-        policy: SourcePolicy = cls(
-            objects=_parse_names(obj["objects"], "objects"),
-            subjects=_parse_names(obj["subjects"], "subjects"),
-            entries=_parse_grant_map(obj["entries"], "entries"),
-        )
-    elif kind == "lbac":
-        _require_fields(obj, {"labels", "order", "entities", "labelling"})
-        policy = LatticePolicy(
-            labels=_parse_names(obj["labels"], "labels"),
-            order=_parse_pairs(obj["order"], "order"),
-            entities=_parse_names(obj["entities"], "entities"),
-            labelling=_parse_str_map(obj["labelling"], "labelling"),
-        )
-    elif kind == "rbac":
-        _require_fields(obj, {"roles", "assignments", "hierarchy"})
-        policy = RbacPolicy(
-            roles=_parse_names(obj["roles"], "roles"),
-            assignments=_parse_grant_map(obj["assignments"], "assignments"),
-            hierarchy=_parse_pairs(obj["hierarchy"], "hierarchy"),
-        )
-    else:
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
         raise SchemaError(
             f"policy: kind must be 'acl', 'capabilities', 'lbac' or 'rbac', got {kind!r}"
         )
-    _check_valid(policy)
-    return policy
+    strict_object(obj, {"kind", *family.fields}, "policy")
+    return family.cls(**{name: parse(obj[name], name) for name, parse in family.fields.items()})
+
+
+# -- policy families ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """What differs between policy families: the class, the document fields
+    with the parser of each (in parse order), the invariant check and the
+    translation."""
+
+    cls: type
+    fields: Mapping[str, Callable[[Any, str], Any]]
+    validate: Callable[[Any], list[str]]
+    translate: Callable[[Any, RbacSemantics], CommonRepresentation]
+
+
+_LISTING_FIELDS = {"objects": _parse_names, "subjects": _parse_names, "entries": _parse_grant_map}
+
+_FAMILIES = {
+    family.cls.kind: family
+    for family in (
+        _Family(AclPolicy, _LISTING_FIELDS,
+                lambda p: _validate_listing(p, p.objects, p.subjects, "object", "subject"),
+                lambda p, _semantics: acl_to_cr(p)),
+        _Family(CapabilityPolicy, _LISTING_FIELDS,
+                lambda p: _validate_listing(p, p.subjects, p.objects, "subject", "object"),
+                lambda p, _semantics: capability_to_cr(p)),
+        _Family(LatticePolicy,
+                {"labels": _parse_names, "order": _parse_pairs, "entities": _parse_names,
+                 "labelling": _parse_str_map},
+                _validate_lattice,
+                lambda p, _semantics: lbac_to_cr(p)),
+        _Family(RbacPolicy,
+                {"roles": _parse_names, "assignments": _parse_grant_map,
+                 "hierarchy": _parse_pairs},
+                _validate_rbac,
+                rbac_to_cr),
+    )
+}
+
+
+def _family(p: Any) -> _Family:
+    family = _FAMILIES.get(getattr(type(p), "kind", None))
+    if family is None or not isinstance(p, family.cls):
+        raise TypeError(f"not a source policy: {type(p).__name__}")
+    return family

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import analyze, compose
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, strict_object
 from .model import CommonRepresentation, Flow
 
 MAX_CONDITION_DEPTH = 16
@@ -164,36 +164,30 @@ def condition_from_dict(obj: Any, depth: int = 0) -> Condition:
         raise SchemaError(f"condition: expected an object, got {type(obj).__name__}")
     tag = obj.get("type")
     if tag == "no-conflicts":
-        _only_keys(obj, {"type"})
+        strict_object(obj, {"type"}, "condition")
         return NoConflicts()
     if tag == "conflicts-complementary-in":
-        _only_keys(obj, {"type", "side"})
-        side = obj.get("side")
+        strict_object(obj, {"type", "side"}, "condition")
+        side = obj["side"]
         if side not in ("first", "second"):
             raise SchemaError(f"condition: side must be 'first' or 'second', got {side!r}")
         return ConflictsComplementaryIn(Side(side))
     if tag == "conflict-count-at-most":
-        _only_keys(obj, {"type", "n"})
-        n = obj.get("n")
+        strict_object(obj, {"type", "n"}, "condition")
+        n = obj["n"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise SchemaError(f"condition: n must be a non-negative integer, got {n!r}")
         return ConflictCountAtMost(n)
     if tag == "and":
-        _only_keys(obj, {"type", "conditions"})
-        subs = obj.get("conditions")
+        strict_object(obj, {"type", "conditions"}, "condition")
+        subs = obj["conditions"]
         if not isinstance(subs, list) or not subs:
             raise SchemaError("condition: 'and' needs a non-empty array of conditions")
         return And(tuple(condition_from_dict(sub, depth + 1) for sub in subs))
     if tag == "not":
-        _only_keys(obj, {"type", "condition"})
-        return Not(condition_from_dict(obj.get("condition"), depth + 1))
+        strict_object(obj, {"type", "condition"}, "condition")
+        return Not(condition_from_dict(obj["condition"], depth + 1))
     raise SchemaError(f"condition: unknown type {tag!r}")
-
-
-def _only_keys(obj: dict[str, Any], allowed: set[str]) -> None:
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise SchemaError(f"condition: unknown field {sorted(unknown)[0]!r}")
 
 
 def _parse_action(value: Any, where: str) -> Action:
@@ -207,14 +201,7 @@ def _parse_action(value: Any, where: str) -> Action:
 
 def rule_from_dict(obj: Any) -> CompositionRule:
     """Parse ``{"condition": {...}, "then": "merge", "else": "append"}``."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"rule: expected an object, got {type(obj).__name__}")
-    unknown = obj.keys() - {"condition", "then", "else"}
-    if unknown:
-        raise SchemaError(f"rule: unknown field {sorted(unknown)[0]!r}")
-    for field in ("condition", "then", "else"):
-        if field not in obj:
-            raise SchemaError(f"rule: missing field {field!r}")
+    strict_object(obj, {"condition", "then", "else"}, "rule")
     return CompositionRule(
         condition=condition_from_dict(obj["condition"]),
         then_action=_parse_action(obj["then"], "rule.then"),

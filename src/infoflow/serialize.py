@@ -44,11 +44,10 @@ Loading is strict: unknown or missing fields raise :class:`SchemaError`.
 from __future__ import annotations
 
 import json
-from collections.abc import Set
 from json.encoder import encode_basestring
 from typing import Any
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, strict_object
 from .model import (
     CommonRepresentation,
     Explicit,
@@ -82,17 +81,6 @@ def _key_to_dict(key: InterfaceKey) -> dict[str, str]:
     return dict(zip(_FIELDS[key[0]], key))
 
 
-def _require_keys(obj: dict[str, Any], required: Set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = required - obj.keys()
-    if missing:
-        raise SchemaError(f"{where}: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - required
-    if unknown:
-        raise SchemaError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-
-
 def _require_str(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{where}: expected a string, got {type(value).__name__}")
@@ -108,13 +96,13 @@ def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "explicit":
-        _require_keys(obj, _FIELD_SETS[kind], where)
+        strict_object(obj, _FIELD_SETS[kind], where)
         mode = obj["mode"]
         if mode not in ("R", "W"):
             raise SchemaError(f"{where}: mode must be 'R' or 'W', got {mode!r}")
         return Explicit(_require_str(obj["entity"], f"{where}.entity"), Mode(mode))
     if kind == "implicit":
-        _require_keys(obj, _FIELD_SETS[kind], where)
+        strict_object(obj, _FIELD_SETS[kind], where)
         return Implicit(
             _require_str(obj["agent"], f"{where}.agent"),
             _require_str(obj["label"], f"{where}.label"),
@@ -127,7 +115,7 @@ def flow_to_dict(flow: Flow) -> dict[str, Any]:
 
 
 def flow_from_dict(obj: Any, where: str = "flow") -> Flow:
-    _require_keys(obj, {"from", "to"}, where)
+    strict_object(obj, {"from", "to"}, where)
     src = interface_from_dict(obj["from"], f"{where}.from")
     dst = interface_from_dict(obj["to"], f"{where}.to")
     try:
@@ -145,7 +133,7 @@ def cr_to_dict(cr: CommonRepresentation) -> dict[str, Any]:
 
 
 def cr_from_dict(obj: Any) -> CommonRepresentation:
-    _require_keys(obj, {"interfaces", "flows"}, "graph")
+    strict_object(obj, {"interfaces", "flows"}, "graph")
     if not isinstance(obj["interfaces"], list) or not isinstance(obj["flows"], list):
         raise SchemaError("graph: 'interfaces' and 'flows' must be arrays")
     interfaces = {
@@ -185,13 +173,21 @@ def dumps(cr: CommonRepresentation) -> str:
     )
 
 
+def decode_json(text: str, source: str = "") -> Any:
+    """Decode JSON text; :class:`SchemaError`, prefixed with ``source`` when
+    given, for text that is not JSON or nests too deeply to decode."""
+    prefix = f"{source}: " if source else ""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{prefix}invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{prefix}invalid JSON: nested too deeply to decode") from None
+
+
 def loads(text: str) -> CommonRepresentation:
     """Parse JSON text into a graph; :class:`SchemaError` on malformed input."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return cr_from_dict(obj)
+    return cr_from_dict(decode_json(text))
 
 
 def _dot_quote(name: str) -> str:

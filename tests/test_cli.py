@@ -10,11 +10,13 @@ import pytest
 
 import infoflow
 from infoflow import (
+    EMPTY_CR,
     CommonRepresentation,
     Explicit,
     Flow,
     Implicit,
     Mode,
+    SchemaError,
     dumps,
     loads,
 )
@@ -424,6 +426,37 @@ class TestExportDot:
         code, out, _ = run(capsys, "export-dot", path)
         assert code == 0
         assert out == "digraph cr {\n}\n"
+
+
+# Far deeper than the interpreter's recursion limit lets the decoder go.
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+class TestDeepNesting:
+    """JSON nested too deeply to decode is a parse error, never a crash."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["translate", "{deep}"],
+            ["check", "{deep}", "--lively"],
+            ["analyze", "{graph}", "{deep}"],
+            ["compose", "merge", "{graph}", "{deep}"],
+            ["export-dot", "{deep}"],
+            ["compose", "rule", "{graph}", "{graph}", "--rule", "{deep}"],
+        ],
+        ids=["policy", "check", "analyze", "compose", "export-dot", "rule"],
+    )
+    def test_every_reader_exits_2(self, tmp_path, capsys, argv):
+        files = {"deep": write(tmp_path, "deep.json", DEEP),
+                 "graph": write_cr(tmp_path, "graph.json", EMPTY_CR)}
+        code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_loads_raises_schema_error(self):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            loads(DEEP)
 
 
 class TestRoundTrip:

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -20,6 +22,7 @@ from infoflow import (
     lattice_dominates,
     lbac_to_cr,
     policy_from_dict,
+    policy_to_cr,
     rbac_closure,
     rbac_privileges,
     rbac_seniority,
@@ -126,20 +129,20 @@ class TestAclTranslation:
 
 class TestAclValidation:
     def test_object_subject_collision(self):
-        policy = AclPolicy(objects={"x"}, subjects={"x"}, entries={})
-        assert any("both" in p for p in validate_policy(policy))
-        with pytest.raises(ValidationError):
-            acl_to_cr(policy)
+        with pytest.raises(ValidationError, match="both"):
+            AclPolicy(objects={"x"}, subjects={"x"}, entries={})
 
     def test_undeclared_subject_in_entry(self):
-        policy = AclPolicy(objects={"o"}, subjects=set(), entries={"o": {("s", R)}})
         with pytest.raises(ValidationError, match="'s'"):
-            acl_to_cr(policy)
+            AclPolicy(objects={"o"}, subjects=set(), entries={"o": {("s", R)}})
 
     def test_entry_key_must_be_declared(self):
-        policy = AclPolicy(objects=set(), subjects={"s"}, entries={"o": {("s", R)}})
         with pytest.raises(ValidationError, match="'o'"):
-            acl_to_cr(policy)
+            AclPolicy(objects=set(), subjects={"s"}, entries={"o": {("s", R)}})
+
+    def test_replace_with_invalid_field_raises(self):
+        with pytest.raises(ValidationError, match="both"):
+            dataclasses.replace(MATRIX_POLICY, subjects={"o1"})
 
 
 class TestCapabilityTranslation:
@@ -175,34 +178,29 @@ class TestCapabilityTranslation:
     def test_invalid_policy_raises(self):
         # An empty list under an undeclared subject vanishes when the grants
         # are regrouped by object, so only the subject-keyed check sees it.
-        policy = CapabilityPolicy(objects={"o1"}, subjects={"s1"}, entries={"ghost": set()})
         with pytest.raises(ValidationError, match="'ghost'"):
-            capability_to_cr(policy)
+            CapabilityPolicy(objects={"o1"}, subjects={"s1"}, entries={"ghost": set()})
 
-    def test_validates_once(self, monkeypatch):
-        calls = []
-        original = policies.validate_policy
-        monkeypatch.setattr(policies, "validate_policy", lambda p: calls.append(p) or original(p))
-        policy = CapabilityPolicy(objects={"o1"}, subjects={"s1"}, entries={"s1": {("o1", W)}})
-        capability_to_cr(policy)
-        assert calls == [policy]
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 class TestNamesMustBeUtf8:
     def test_listing_name(self):
-        policy = AclPolicy(objects={"o\ud800"}, subjects={"s"}, entries={})
-        assert validate_policy(policy) == ["object name 'o\\ud800' is not UTF-8 text"]
-        with pytest.raises(ValidationError, match="not UTF-8"):
-            acl_to_cr(policy)
+        with pytest.raises(ValidationError,
+                           match=exactly("object name 'o\\ud800' is not UTF-8 text")):
+            AclPolicy(objects={"o\ud800"}, subjects={"s"}, entries={})
 
     def test_lattice_entity(self):
-        policy = LatticePolicy(labels={"l"}, order=set(), entities={"\udc80"},
-                               labelling={"\udc80": "l"})
-        assert any("not UTF-8" in p for p in validate_policy(policy))
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            LatticePolicy(labels={"l"}, order=set(), entities={"\udc80"},
+                          labelling={"\udc80": "l"})
 
     def test_rbac_assigned_object(self):
-        policy = RbacPolicy(roles={"r"}, assignments={"r": {("o\ud800", R)}}, hierarchy=set())
-        assert validate_policy(policy) == ["assigned object name 'o\\ud800' is not UTF-8 text"]
+        with pytest.raises(ValidationError,
+                           match=exactly("assigned object name 'o\\ud800' is not UTF-8 text")):
+            RbacPolicy(roles={"r"}, assignments={"r": {("o\ud800", R)}}, hierarchy=set())
 
     def test_non_ascii_is_fine(self):
         assert validate_policy(AclPolicy(objects={"zoë"}, subjects={"\u2028"}, entries={})) == []
@@ -241,21 +239,16 @@ class TestLattice:
             lattice_dominates(p, "low", "nope")
 
     def test_antisymmetry_violation_rejected(self):
-        p = lattice({"A": "a"}, [("a", "b"), ("b", "a")])
         with pytest.raises(ValidationError, match="antisymmetric"):
-            lbac_to_cr(p)
+            lattice({"A": "a"}, [("a", "b"), ("b", "a")])
 
     def test_cycle_through_three_labels_rejected(self):
-        p = lattice({"A": "a"}, [("a", "b"), ("b", "c"), ("c", "a")])
         with pytest.raises(ValidationError):
-            lbac_to_cr(p)
+            lattice({"A": "a"}, [("a", "b"), ("b", "c"), ("c", "a")])
 
     def test_unlabelled_entity_rejected(self):
-        p = LatticePolicy(
-            labels={"low"}, order=set(), entities={"A"}, labelling={}
-        )
         with pytest.raises(ValidationError, match="no label"):
-            lbac_to_cr(p)
+            LatticePolicy(labels={"low"}, order=set(), entities={"A"}, labelling={})
 
 
 def lbac_flow(a, b):
@@ -409,7 +402,30 @@ class TestRbacTranslation:
             assert validate(cross) == []
 
 
+# One valid document per family, each with at least one grant or order pair.
+DOCS = {
+    "acl": {"kind": "acl", "objects": ["o1"], "subjects": ["s1"],
+            "entries": {"o1": [["s1", "R"]]}},
+    "capabilities": {"kind": "capabilities", "objects": ["o1"], "subjects": ["s1"],
+                     "entries": {"s1": [["o1", "W"]]}},
+    "lbac": {"kind": "lbac", "labels": ["low", "high"], "order": [["low", "high"]],
+             "entities": ["A", "B"], "labelling": {"A": "low", "B": "high"}},
+    "rbac": {"kind": "rbac", "roles": ["a", "b"], "assignments": {"b": [["o1", "R"]]},
+             "hierarchy": [["a", "b"]]},
+}
+CLASSES = {"acl": AclPolicy, "capabilities": CapabilityPolicy, "lbac": LatticePolicy,
+           "rbac": RbacPolicy}
+
+
 class TestPolicyLoading:
+    @pytest.mark.parametrize("kind", sorted(DOCS))
+    def test_validates_once(self, monkeypatch, kind):
+        calls = []
+        original = policies.validate_policy
+        monkeypatch.setattr(policies, "validate_policy", lambda p: calls.append(p) or original(p))
+        policy_to_cr(policy_from_dict(DOCS[kind]))
+        assert len(calls) == 1 and type(calls[0]) is CLASSES[kind]
+
     def test_acl_document(self):
         policy = policy_from_dict(
             {
