@@ -73,6 +73,8 @@ def _read_json(path: str) -> Any:
             text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     return serialize.decode_json(text, path)
 
 

@@ -8,20 +8,35 @@ bidirectional exchange needs both flows, and such a pair is called
 complementary.
 
 All values are immutable after construction and every operation is a pure
-function, so they can be shared freely across threads.  The one piece of
-state a graph gains later is a derived index (vertex numbering, successor
-tuples, availability component count), filled on the first ``reachable``,
-``is_lively`` or ``component_count`` query and reused by every later query
-on the same value.  It is not a field, so equality, hashing and serialized
-output never see it; two threads racing to fill it compute the same value,
-which is harmless.
+function, so they can be shared freely across threads.
+
+Interfaces are interned: constructing an :class:`Explicit` or
+:class:`Implicit` returns the one live object with those field values, so
+equal interfaces are one object, ``==`` and ``is`` agree, and hashing and
+comparing an interface never runs Python code.  The intern table holds
+weak references, so it keeps only interfaces something else still holds;
+construction is thread-safe, and pickling or copying an interface returns
+the interned object.  Constructors check field types: an ``Explicit``
+needs a ``str`` entity and a :class:`Mode`, an ``Implicit`` two ``str``
+fields, and anything else raises :class:`TypeError`.
+
+The one piece of state a graph gains later is a derived index (vertex
+numbering, successor tuples, availability component count), filled on the
+first ``reachable``, ``is_lively`` or ``component_count`` query and reused
+by every later query on the same value.  It is not a field, so equality,
+hashing and serialized output never see it; two threads racing to fill it
+compute the same value, which is harmless.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from typing import Any, Callable, ClassVar
 
 from .errors import UnknownInterfaceError
 
@@ -32,6 +47,10 @@ class Mode(enum.Enum):
     R = "R"
     W = "W"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # runs in C, unlike ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class GrantResult(enum.Enum):
     """Tri-state outcome of an access check."""
@@ -41,8 +60,76 @@ class GrantResult(enum.Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class Explicit:
+class _Entry(weakref.ref):
+    """The intern table's weak reference to an interface; ``key`` is its entry's key."""
+
+    __slots__ = ("key",)
+
+
+# Every live interface, keyed by (class, field values).  The values are weak
+# references, so the table holds only interfaces that something else holds.
+_interned: dict[tuple, _Entry] = {}
+_intern_lock = threading.Lock()
+
+
+def _discard(dead: _Entry) -> None:
+    """Drop a collected interface's entry, unless a new interface for the
+    same value has replaced it already."""
+    _remove_dead_weakref(_interned, dead.key)
+
+
+def _intern(key: tuple) -> _Interface:
+    """The live interface for ``key``, made if there is none.
+
+    Called when the lock-free lookup misses; under the lock, checking and
+    inserting are one step, so two threads never make two interfaces for
+    one value.
+    """
+    with _intern_lock:
+        ref = _interned.get(key)
+        iface = None if ref is None else ref()
+        if iface is None:
+            cls, first, second = key
+            set_first, set_second = cls._setters
+            iface = object.__new__(cls)
+            set_first(iface, first)
+            set_second(iface, second)
+            ref = _Entry(iface, _discard)
+            ref.key = key
+            _interned[key] = ref
+    return iface
+
+
+class _Interface:
+    """Immutable, interned interface value: its subclass names its two
+    fields in ``__slots__``, and its constructor checks their types and
+    returns the object from :func:`_intern`."""
+
+    __slots__ = ("__weakref__",)
+    _setters: ClassVar[tuple[Callable[[Any, Any], None], ...]]
+
+    def __init_subclass__(cls) -> None:
+        # The slots' own setters, which write a new interface's fields past
+        # ``__setattr__``.
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # Unpickling, copy and deepcopy call the constructor, which interns.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Explicit(_Interface):
     """An (entity, mode) port.
 
     ``(e, R)`` is the port through which e's content leaves (a source
@@ -50,16 +137,39 @@ class Explicit:
     sink endpoint).
     """
 
+    __slots__ = ("entity", "mode")
     entity: str
     mode: Mode
 
+    def __new__(cls, entity: str, mode: Mode) -> Explicit:
+        if not isinstance(entity, str) or not isinstance(mode, Mode):
+            raise TypeError(
+                f"Explicit takes a str entity and a Mode, got {type(entity).__name__} "
+                f"and {type(mode).__name__}"
+            )
+        key = (cls, entity, mode)
+        ref = _interned.get(key)
+        iface = None if ref is None else ref()
+        return _intern(key) if iface is None else iface
 
-@dataclass(frozen=True)
-class Implicit:
+
+class Implicit(_Interface):
     """A mode-less agent port; one agent may carry several, told apart by label."""
 
+    __slots__ = ("agent", "label")
     agent: str
     label: str
+
+    def __new__(cls, agent: str, label: str) -> Implicit:
+        if not isinstance(agent, str) or not isinstance(label, str):
+            raise TypeError(
+                f"Implicit takes a str agent and a str label, got {type(agent).__name__} "
+                f"and {type(label).__name__}"
+            )
+        key = (cls, agent, label)
+        ref = _interned.get(key)
+        iface = None if ref is None else ref()
+        return _intern(key) if iface is None else iface
 
 
 InterfaceId = Explicit | Implicit

@@ -230,21 +230,21 @@ def _validate_rbac(p: RbacPolicy) -> list[str]:
     return problems
 
 
+def _ports(names: Iterable[str]) -> tuple[dict[str, Explicit], dict[str, Explicit]]:
+    """The R and the W interface of each name, built once and shared by every flow."""
+    reads = {name: Explicit(name, Mode.R) for name in names}
+    return reads, {name: Explicit(name, Mode.W) for name in reads}
+
+
 def _listing_cr(p: _ListingPolicy,
                 grants: Iterable[tuple[str, str, Mode]]) -> CommonRepresentation:
     """The graph of a permission list whose grants are (object, subject, mode)."""
-    interfaces = {
-        Explicit(name, mode)
-        for name in p.objects | p.subjects
-        for mode in (Mode.R, Mode.W)
-    }
+    reads, writes = _ports(p.objects | p.subjects)
     flows = {
-        Flow(Explicit(subject, Mode.R), Explicit(obj, Mode.W))
-        if mode is Mode.W
-        else Flow(Explicit(obj, Mode.R), Explicit(subject, Mode.W))
+        Flow(reads[subject], writes[obj]) if mode is Mode.W else Flow(reads[obj], writes[subject])
         for obj, subject, mode in grants
     }
-    return CommonRepresentation(interfaces=interfaces, flows=flows)
+    return CommonRepresentation(interfaces={*reads.values(), *writes.values()}, flows=flows)
 
 
 def acl_to_cr(p: AclPolicy) -> CommonRepresentation:
@@ -297,14 +297,14 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
     flow.  Equal labels yield flows in both directions.
     """
     closure = _label_closure(p)
-    interfaces = {Implicit(e, LBAC_LABEL) for e in p.entities}
+    ports = {e: Implicit(e, LBAC_LABEL) for e in p.entities}
     flows = {
-        Flow(Implicit(e1, LBAC_LABEL), Implicit(e2, LBAC_LABEL))
+        Flow(ports[e1], ports[e2])
         for e1 in p.entities
         for e2 in p.entities
         if e1 != e2 and (p.labelling[e1], p.labelling[e2]) in closure
     }
-    return CommonRepresentation(interfaces=interfaces, flows=flows)
+    return CommonRepresentation(interfaces=ports.values(), flows=flows)
 
 
 def rbac_closure(p: RbacPolicy) -> frozenset[tuple[str, str]]:
@@ -313,10 +313,24 @@ def rbac_closure(p: RbacPolicy) -> frozenset[tuple[str, str]]:
 
 
 def rbac_seniority(p: RbacPolicy, role: str) -> frozenset[str]:
-    """All roles junior to ``role``, the role itself excluded."""
+    """All roles junior to ``role``, the role itself excluded.
+
+    Walks the hierarchy down from ``role`` alone, so it costs the pairs of
+    the hierarchy, not a closure over every role.
+    """
     if role not in p.roles:
         raise ValueError(f"unknown role {role!r}")
-    return frozenset(j for s, j in rbac_closure(p) if s == role and j != role)
+    direct: dict[str, list[str]] = {}
+    for senior, junior in p.hierarchy:
+        direct.setdefault(senior, []).append(junior)
+    found: set[str] = set()
+    stack = [role]
+    while stack:
+        for junior in direct.get(stack.pop(), ()):
+            if junior not in found:
+                found.add(junior)
+                stack.append(junior)
+    return frozenset(found)
 
 
 def rbac_privileges(p: RbacPolicy, role: str) -> Grants:
@@ -340,8 +354,7 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
     juniors: dict[str, list[str]] = {}
     for senior, junior in _warshall(sorted(p.roles), p.hierarchy):
         juniors.setdefault(senior, []).append(junior)
-    mentioned = {obj for grants in p.assignments.values() for obj, _mode in grants}
-    interfaces = {Explicit(o, m) for o in mentioned for m in (Mode.R, Mode.W)}
+    reads, writes = _ports({obj for grants in p.assignments.values() for obj, _mode in grants})
     flows: set[Flow] = set()
     for role in p.roles:
         privileges = set(p.assignments.get(role, frozenset()))
@@ -350,17 +363,10 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
         readable = {o for o, m in privileges if m is Mode.R}
         writable = {o for o, m in privileges if m is Mode.W}
         if semantics is RbacSemantics.LITERAL:
-            flows |= {
-                Flow(Explicit(o, Mode.R), Explicit(o, Mode.W))
-                for o in readable & writable
-            }
+            flows |= {Flow(reads[o], writes[o]) for o in readable & writable}
         else:
-            flows |= {
-                Flow(Explicit(r, Mode.R), Explicit(w, Mode.W))
-                for r in readable
-                for w in writable
-            }
-    return CommonRepresentation(interfaces=interfaces, flows=flows)
+            flows |= {Flow(reads[r], writes[w]) for r in readable for w in writable}
+    return CommonRepresentation(interfaces={*reads.values(), *writes.values()}, flows=flows)
 
 
 def policy_to_cr(policy: SourcePolicy,

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import random
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infoflow
 from infoflow import (
@@ -483,3 +487,85 @@ def test_interface_token_parsing():
         parse_interface_token("#x")
     with pytest.raises(ValueError):
         parse_interface_token("bare")
+
+
+# Words of the file formats, so that generated documents get past the first
+# schema check and reach the later ones.
+WORDS = [
+    "kind", "acl", "capabilities", "lbac", "rbac", "objects", "subjects", "entries",
+    "labels", "order", "entities", "labelling", "roles", "assignments", "hierarchy",
+    "interfaces", "flows", "from", "to", "explicit", "implicit", "entity", "mode", "agent",
+    "label", "R", "W", "condition", "then", "else", "type", "side", "n", "conditions",
+    "no-conflicts", "conflicts-complementary-in", "conflict-count-at-most", "and", "not",
+    "merge", "append", "append-strict", "reject", "first", "second", "o1", "s1", "a",
+]
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(WORDS + ["", "\ud800"]) | st.text(max_size=4)
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=24,
+)
+GRAPH_DOC = json.loads(dumps(random_cr(random.Random(5))))
+# Interface objects of either kind whose fields may have any type.
+INTERFACE_DOCS = st.sampled_from(GRAPH_DOC["interfaces"]) | st.fixed_dictionaries(
+    {"kind": st.just("explicit"), "entity": SCALARS, "mode": SCALARS}
+) | st.fixed_dictionaries({"kind": st.just("implicit"), "agent": SCALARS, "label": SCALARS})
+
+
+def near(*docs):
+    """The valid documents ``docs``, and each with one field's value replaced."""
+    return st.sampled_from(docs) | st.sampled_from(docs).flatmap(
+        lambda doc: st.builds(lambda key, value: {**doc, key: value},
+                              st.sampled_from(sorted(doc)), DOCUMENTS)
+    )
+
+
+# Documents close to each input kind, so most runs get past the first check.
+INPUTS = {
+    "policy": near(ACL_DOC, LBAC_DOC, RBAC_DOC),
+    "graph": near(GRAPH_DOC) | st.fixed_dictionaries({
+        "interfaces": st.lists(INTERFACE_DOCS, max_size=4),
+        "flows": st.lists(st.fixed_dictionaries({"from": INTERFACE_DOCS, "to": INTERFACE_DOCS}),
+                          max_size=4),
+    }),
+    "rule": near(RULE_DOC),
+}
+TOKENS = (
+    st.sampled_from(["a#x", "b#x", "p.R", "q.W", "o1.R", "bad", ".R", "#x"]) | st.text(max_size=5)
+)
+
+# Each subcommand: its input kinds, and its argv from those files and four tokens.
+COMMANDS = {
+    "translate": (["policy"], lambda f, t: ["translate", *f, "--rbac-semantics", "cross-object"]),
+    "compose": (["graph"] * 2, lambda f, t: ["compose", "merge", *f]),
+    "compose-append-strict": (["graph"] * 3, lambda f, t: ["compose", "append-strict", *f]),
+    "compose-rule": (["graph", "graph", "rule"],
+                     lambda f, t: ["compose", "rule", f[0], f[1], "--rule", f[2]]),
+    "analyze": (["graph"] * 2, lambda f, t: ["analyze", *f]),
+    "check": (["graph"], lambda f, t: ["check", *f, "--lively", "--grant", t[0], t[1],
+                                       "--reachable", t[2], t[3]]),
+    "export-dot": (["graph"], lambda f, t: ["export-dot", *f]),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), tokens=st.lists(TOKENS, min_size=4, max_size=4))
+def test_any_input_exits_with_a_documented_code(command, data, tokens):
+    kinds, argv = COMMANDS[command]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for n, kind in enumerate(kinds):
+            content = data.draw(st.binary(max_size=48) | (DOCUMENTS | INPUTS[kind]).map(
+                lambda doc: json.dumps(doc).encode()))
+            files.append(os.path.join(tmp, f"in{n}.json"))
+            Path(files[-1]).write_bytes(content)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv(files, tokens))
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()

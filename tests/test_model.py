@@ -1,4 +1,10 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,11 +28,13 @@ from infoflow import (
     grant,
     interface_key,
     is_lively,
+    loads,
     merge,
     policy_to_cr,
     reachable,
     validate,
 )
+from infoflow import model
 from crgen import POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac
 from oracles import (
     dfs_reachable,
@@ -274,3 +282,109 @@ def test_index_is_built_on_first_query_only(name):
     assert set(vars(g)) == FIELDS
     is_lively(g)
     assert set(vars(g)) > FIELDS
+
+
+def declared_endpoints_are_shared(g):
+    """True iff every flow endpoint is the very object the graph declares."""
+    declared = {id(iface) for iface in g.interfaces}
+    return all(id(f.src) in declared and id(f.dst) in declared for f in g.flows)
+
+
+class TestInterning:
+    """One live object per interface value."""
+
+    def test_equal_fields_give_one_object(self):
+        entity = "".join(["o", "1"])  # a string object of its own
+        assert Explicit(entity, Mode.R) is Explicit("o1", Mode.R)
+        assert Explicit(entity=entity, mode=Mode.W) is Explicit("o1", Mode.W)
+        assert Implicit("".join(["a", "g"]), "x") is Implicit("ag", "x")
+        assert Explicit("o1", Mode.R) is not Explicit("o1", Mode.W)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_flow_endpoints_are_the_declared_objects(self, name):
+        g = BUILDERS[name](random.Random(11))
+        assert g.flows
+        assert declared_endpoints_are_shared(g)
+        loaded = loads(dumps(g))
+        assert loaded == g
+        assert declared_endpoints_are_shared(loaded)
+
+    def test_never_equal_to_a_tuple_or_the_other_variant(self):
+        assert Explicit("a", Mode.R) != ("a", Mode.R)
+        assert Implicit("a", "x") != ("a", "x")
+        assert Explicit("a", Mode.R) != Implicit("a", "R")
+        assert Implicit("a", "R") != Explicit("a", Mode.R)
+
+    def test_hashing_is_by_identity(self):
+        for cls in (Explicit, Implicit, Mode):
+            assert cls.__hash__ is object.__hash__
+
+    @pytest.mark.parametrize("iface", [Explicit("o", Mode.R), Implicit("a", "x")], ids=repr)
+    def test_fields_cannot_be_assigned_or_deleted(self, iface):
+        for name in iface.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(iface, name, "changed")
+            with pytest.raises(AttributeError):
+                delattr(iface, name)
+        with pytest.raises(AttributeError):
+            iface.other = 1
+
+    def test_repr(self):
+        assert repr(Explicit("o", Mode.R)) == "Explicit(entity='o', mode=<Mode.R: 'R'>)"
+        assert repr(Implicit("a", "x")) == "Implicit(agent='a', label='x')"
+
+    @pytest.mark.parametrize("iface", [Explicit("o", Mode.W), Implicit("a", "x")], ids=repr)
+    def test_pickle_and_copies_return_the_interned_object(self, iface):
+        assert pickle.loads(pickle.dumps(iface)) is iface
+        assert copy.copy(iface) is iface
+        assert copy.deepcopy(iface) is iface
+        assert copy.deepcopy([iface])[0] is iface
+        other = Implicit("other", "y")
+        g = cr({iface, other}, {Flow(iface, other)})
+        assert declared_endpoints_are_shared(pickle.loads(pickle.dumps(g)))
+
+    def test_unused_interface_is_collected(self):
+        name = "collected-" + "".join(random.choices("abcdef", k=12))
+        iface = Implicit(name, "x")
+        ref = weakref.ref(iface)
+        del iface
+        gc.collect()
+        assert ref() is None
+        assert (Implicit, name, "x") not in model._interned
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Explicit("o", "R"), lambda: Explicit(1, Mode.R), lambda: Explicit("o", None),
+         lambda: Implicit("a", 1), lambda: Implicit(None, "x"), lambda: Implicit("a", Mode.R)],
+        ids=["mode-str", "entity-int", "mode-none", "label-int", "agent-none", "label-mode"],
+    )
+    def test_wrong_field_type_raises_type_error(self, build):
+        before = set(model._interned)
+        with pytest.raises(TypeError):
+            build()
+        assert set(model._interned) <= before
+
+    def test_threads_racing_on_a_new_value_get_one_object(self):
+        workers, rounds = 8, 200
+        barrier = threading.Barrier(workers, timeout=10)
+        got = [[None] * workers for _ in range(rounds)]
+
+        def build(slot):
+            for n in range(rounds):
+                barrier.wait()
+                got[n][slot] = Implicit(f"race-{n}", "t")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(slot,)) for slot in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for row in got:
+            assert isinstance(row[0], Implicit)
+            assert all(iface is row[0] for iface in row)

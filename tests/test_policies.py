@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from infoflow import policies
 from infoflow import (
@@ -351,6 +352,26 @@ class TestRbacHierarchy:
 
     def test_privileges_of_bare_role(self):
         assert rbac_privileges(rbac({"a"}, {}, set()), "a") == frozenset()
+
+    @given(st.data())
+    def test_walks_agree_with_closure_on_random_acyclic_hierarchies(self, data):
+        size = data.draw(st.integers(1, 9))
+        # Pairs run from earlier to later in a shuffled order, so the
+        # hierarchy is acyclic but its order is not the order of the names.
+        roles = data.draw(st.permutations([f"r{n}" for n in range(size)]))
+        pairs = [(roles[i], roles[j]) for i in range(size) for j in range(i + 1, size)]
+        hierarchy = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        grants = st.frozensets(st.tuples(st.sampled_from(["o1", "o2"]), st.sampled_from(Mode)))
+        assignments = data.draw(st.dictionaries(st.sampled_from(roles), grants))
+        p = rbac(set(roles), assignments, hierarchy)
+        closure = rbac_closure(p)
+        for role in roles:
+            juniors = frozenset(j for s, j in closure if s == role)
+            assert rbac_seniority(p, role) == juniors
+            expected = set(p.assignments.get(role, ()))
+            for junior in juniors:
+                expected |= p.assignments.get(junior, frozenset())
+            assert rbac_privileges(p, role) == expected
 
     def test_privileges_monotone_along_hierarchy(self):
         rng = random.Random(31)
