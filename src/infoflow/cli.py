@@ -19,7 +19,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from . import analyze, rules, serialize
@@ -27,13 +26,11 @@ from .errors import SchemaError, UnknownInterfaceError, ValidationError
 from .model import (
     CommonRepresentation,
     Explicit,
-    Flow,
     Implicit,
     InterfaceId,
     Mode,
     _is_utf8,
     component_count,
-    flow_key,
     grant,
     reachable,
     validate,
@@ -43,24 +40,6 @@ from .policies import RbacSemantics, policy_from_dict, policy_to_cr
 
 class QueryError(ValueError):
     """A query token is not a well-formed interface name."""
-
-
-@dataclass
-class Report:
-    """Envelope for a command's machine-readable output."""
-
-    command: str
-    inputs: list[str]
-    outcome: dict[str, Any]
-    diagnostics: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outcome": self.outcome,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _err(message: str) -> None:
@@ -124,12 +103,12 @@ def _emit(text: str, output: Optional[str]) -> None:
         raise
 
 
-def _emit_report(report: Report, output: Optional[str]) -> None:
-    _emit(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", output)
-
-
-def _flow_list(flows: frozenset[Flow]) -> list[dict[str, Any]]:
-    return [serialize.flow_to_dict(f) for f in sorted(flows, key=flow_key)]
+def _emit_report(command: str, inputs: list[str], outcome: dict[str, Any],
+                 output: Optional[str]) -> None:
+    """Write a command's machine-readable report: its envelope holds the
+    command, its input files, the outcome and an empty diagnostics list."""
+    report = {"command": command, "inputs": inputs, "outcome": outcome, "diagnostics": []}
+    _emit(json.dumps(report, indent=2, ensure_ascii=False) + "\n", output)
 
 
 def parse_interface_token(token: str) -> InterfaceId:
@@ -176,25 +155,25 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         decisions.append(
             {
                 "action": decision.action_taken.value,
-                "evidence": _flow_list(decision.evidence),
+                "evidence": serialize.flows_to_list(decision.evidence),
             }
         )
         if decision.result is None:
             rejected = True
             break
         acc = decision.result
-    report = Report(
-        command="compose",
-        inputs=list(args.crs) + [args.rule_file],
-        outcome={
+    # The decision report always goes to stdout; -o receives the graph.
+    _emit_report(
+        "compose",
+        list(args.crs) + [args.rule_file],
+        {
             "op": "rule",
             "decisions": decisions,
             "rejected": rejected,
             "result": None if rejected else serialize.cr_to_dict(acc),
         },
+        None,
     )
-    # The decision report always goes to stdout; -o receives the graph.
-    _emit_report(report, None)
     if rejected:
         return 4
     if args.output is not None:
@@ -205,17 +184,18 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     a = _load_cr(args.a)
     b = _load_cr(args.b)
-    report = Report(
-        command="analyze",
-        inputs=[args.a, args.b],
-        outcome={
-            "conflicting": analyze.conflicting(a, b),
-            "conflicts": _flow_list(analyze.conflicts(a, b)),
-            "common_flows": _flow_list(analyze.common_flows(a, b)),
-            "diffs": _flow_list(analyze.diffs(a, b)),
+    found = analyze.conflicts(a, b)
+    _emit_report(
+        "analyze",
+        [args.a, args.b],
+        {
+            "conflicting": bool(found),
+            "conflicts": serialize.flows_to_list(found),
+            "common_flows": serialize.flows_to_list(analyze.common_flows(a, b)),
+            "diffs": serialize.flows_to_list(analyze.diffs(a, b)),
         },
+        args.output,
     )
-    _emit_report(report, args.output)
     return 0
 
 
@@ -237,8 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         results.append(
             {"query": "lively", "result": components == 1, "components": components}
         )
-    report = Report(command="check", inputs=[args.cr], outcome={"results": results})
-    _emit_report(report, args.output)
+    _emit_report("check", [args.cr], {"results": results}, args.output)
     return 0
 
 

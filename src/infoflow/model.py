@@ -298,24 +298,13 @@ class CommonRepresentation:
 EMPTY_CR = CommonRepresentation()
 
 
-@dataclass(frozen=True)
-class AvailabilityGraph:
-    """Undirected view of a graph: one edge per complementary flow pair."""
-
-    vertices: frozenset[InterfaceId] = frozenset()
-    edges: frozenset[frozenset[InterfaceId]] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", frozenset(frozenset(e) for e in self.edges))
-
-
 def validate(cr: CommonRepresentation) -> list[str]:
     """Well-formedness check.
 
-    Returns an empty list iff every flow endpoint is a declared interface
-    and every name component is non-empty UTF-8 text; otherwise one entry
-    per problem.
+    Returns an empty list iff every flow endpoint is a declared interface,
+    every name component is non-empty UTF-8 text and no entity or agent
+    holds ``#``; otherwise one entry per problem.  So every interface that
+    passes prints as a query token that reads back as itself.
     """
     problems: list[str] = []
     for iface in sorted(cr.interfaces, key=interface_key):
@@ -330,6 +319,8 @@ def validate(cr: CommonRepresentation) -> list[str]:
                 problems.append(
                     f"interface {format_interface(iface)!r} has a {name} that is not UTF-8 text"
                 )
+            elif "#" in value and name != "label":
+                problems.append(f"interface {format_interface(iface)!r} has '#' in its {name}")
     for flow in sorted(cr.flows, key=flow_key):
         for endpoint in (flow.src, flow.dst):
             if endpoint not in cr.interfaces:
@@ -354,19 +345,10 @@ def grant(i1: InterfaceId, i2: InterfaceId, cr: CommonRepresentation) -> GrantRe
     return GrantResult.DENY
 
 
-def availability_graph(cr: CommonRepresentation) -> AvailabilityGraph:
-    """Replace each complementary flow pair with one undirected edge.
-
-    One-directional flows contribute no edge at all.
-    """
-    edges = {
-        frozenset((f.src, f.dst)) for f in cr.flows if f.inverse() in cr.flows
-    }
-    return AvailabilityGraph(vertices=cr.interfaces, edges=edges)
-
-
 def component_count(cr: CommonRepresentation) -> int:
-    """Number of connected components of the availability graph.
+    """Number of connected components of the availability graph: the
+    declared interfaces, joined by one undirected edge per complementary
+    flow pair (one-way flows join nothing).
 
     Read from the graph's index, so only the first query on a value pays
     for it.

@@ -11,8 +11,9 @@ Three policy families are supported:
   transitive closure of the hierarchy.
 
 A policy is checked when it is constructed: one that breaks an invariant of
-its family (an empty, undeclared or non-UTF-8 name, a lattice order that is
-not antisymmetric, a cyclic role hierarchy) raises :class:`ValidationError`
+its family (an empty, undeclared or non-UTF-8 name, an entity or agent name
+holding ``#``, a lattice order that is not antisymmetric, a cyclic role
+hierarchy) raises :class:`ValidationError`
 listing every problem, so no invalid policy exists.  Every translation
 therefore takes its input as valid and yields a well-formed
 :class:`~infoflow.model.CommonRepresentation`.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, ClassVar, Collection, Iterable, Mapping
 
 from .errors import SchemaError, ValidationError, strict_object
@@ -101,6 +103,13 @@ class LatticePolicy:
         object.__setattr__(self, "labelling", dict(self.labelling))
         _check_valid(self)
 
+    @cached_property
+    def _closure(self) -> dict[str, frozenset[str]]:
+        """Each label's strict dominators, from :func:`_descendants` of the
+        order.  Validation fills it; not a field, so equality and repr never
+        see it."""
+        return _descendants(self.labels, self.order)
+
 
 @dataclass(frozen=True)
 class RbacPolicy:
@@ -121,40 +130,57 @@ class RbacPolicy:
         object.__setattr__(self, "hierarchy", frozenset(tuple(p) for p in self.hierarchy))
         _check_valid(self)
 
+    @cached_property
+    def _closure(self) -> dict[str, frozenset[str]]:
+        """Each role's juniors, from :func:`_descendants` of the hierarchy.
+        Validation fills it; not a field, so equality and repr never see it."""
+        return _descendants(self.roles, self.hierarchy)
+
 
 SourcePolicy = AclPolicy | CapabilityPolicy | LatticePolicy | RbacPolicy
 
 
-def _warshall(nodes: list[str], pairs: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
-    """Transitive closure of a relation over ``nodes`` (Warshall, set form)."""
-    reach: dict[str, set[str]] = {n: set() for n in nodes}
-    for a, b in pairs:
-        if a in reach and b in reach:
-            reach[a].add(b)
-    for k in nodes:
-        for i in nodes:
-            if k in reach[i]:
-                reach[i] |= reach[k]
-    return {(i, j) for i in nodes for j in reach[i]}
+def _descendants(nodes: Iterable[str],
+                 pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    """Each node's strict descendants: the nodes that a chain of one or more
+    ``pairs`` leads to from it.  A node is its own descendant only on a cycle.
 
-
-def _label_closure(p: LatticePolicy) -> set[tuple[str, str]]:
-    closure = _warshall(sorted(p.labels), p.order)
-    closure |= {(label, label) for label in p.labels}
-    return closure
-
-
-def validate_policy(p: SourcePolicy) -> list[str]:
-    """All invariant violations of a source policy, empty when valid.
-
-    Every policy constructor calls it, so on a constructed policy it
-    returns an empty list.
+    An explicit stack finishes nodes in depth-first post-order, so on an
+    acyclic relation a node's set is the union of its children's finished
+    sets, and a hierarchy of any depth cannot overflow the call stack.  Only
+    a cycle makes the walk pass an unfinished child.
     """
-    return _family(p).validate(p)
+    successors: dict[str, list[str]] = {n: [] for n in nodes}
+    for a, b in pairs:
+        if a in successors and b in successors:
+            successors[a].append(b)
+    done: dict[str, frozenset[str]] = {}
+    started: set[str] = set()
+    stack = [(node, False) for node in successors]
+    while stack:
+        node, finishing = stack.pop()
+        if not finishing:
+            if node not in started:
+                started.add(node)
+                stack.append((node, True))
+                stack += [(child, False) for child in successors[node]]
+            continue
+        found: set[str] = set()
+        walk = [node]
+        while walk:
+            for child in successors[walk.pop()]:
+                if child not in found:
+                    found.add(child)
+                    if child in done:
+                        found |= done[child]
+                    else:
+                        walk.append(child)
+        done[node] = frozenset(found)
+    return done
 
 
 def _check_valid(p: SourcePolicy) -> None:
-    problems = validate_policy(p)
+    problems = _family(p).validate(p)
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -172,9 +198,19 @@ def _check_names(names: Collection[str], kind: str) -> list[str]:
     return problems
 
 
+def _check_interface_names(names: Collection[str], kind: str) -> list[str]:
+    """:func:`_check_names` for names that become interface entities or
+    agents, which also may not hold ``#``: the query token of such an
+    interface would read back as a different, implicit one."""
+    return _check_names(names, kind) + [
+        f"{kind} name {name!r} contains '#'" for name in sorted(n for n in names if "#" in n)
+    ]
+
+
 def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: frozenset[str],
                       key_kind: str, grant_kind: str) -> list[str]:
-    problems = _check_names(p.objects, "object") + _check_names(p.subjects, "subject")
+    problems = _check_interface_names(p.objects, "object") + _check_interface_names(
+        p.subjects, "subject")
     for name in sorted(p.objects & p.subjects):
         problems.append(f"name {name!r} is declared as both an object and a subject")
     for key in sorted(p.entries):
@@ -187,18 +223,19 @@ def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: fro
 
 
 def _validate_lattice(p: LatticePolicy) -> list[str]:
-    problems = _check_names(p.labels, "label") + _check_names(p.entities, "entity")
+    problems = _check_names(p.labels, "label") + _check_interface_names(p.entities, "entity")
     for low, high in sorted(p.order):
         for label in (low, high):
             if label not in p.labels:
                 problems.append(f"order pair names undeclared label {label!r}")
     if not problems:
-        closure = _label_closure(p)
-        for l1, l2 in sorted(closure):
-            if l1 < l2 and (l2, l1) in closure:
-                problems.append(
-                    f"order is not antisymmetric: {l1!r} and {l2!r} dominate each other"
-                )
+        above = p._closure
+        for l1 in sorted(above):
+            for l2 in sorted(above[l1]):
+                if l1 < l2 and l1 in above[l2]:
+                    problems.append(
+                        f"order is not antisymmetric: {l1!r} and {l2!r} dominate each other"
+                    )
     for entity in sorted(p.entities):
         if entity not in p.labelling:
             problems.append(f"entity {entity!r} has no label")
@@ -212,7 +249,8 @@ def _validate_lattice(p: LatticePolicy) -> list[str]:
 
 def _validate_rbac(p: RbacPolicy) -> list[str]:
     assigned = {name for grants in p.assignments.values() for name, _mode in grants}
-    problems = _check_names(p.roles, "role") + _check_names(assigned, "assigned object")
+    problems = _check_names(p.roles, "role") + _check_interface_names(
+        assigned, "assigned object")
     for role in sorted(p.assignments):
         if role not in p.roles:
             problems.append(f"assignment names undeclared role {role!r}")
@@ -223,10 +261,10 @@ def _validate_rbac(p: RbacPolicy) -> list[str]:
         if senior == junior:
             problems.append(f"role {senior!r} cannot be its own junior")
     if not problems:
-        closure = _warshall(sorted(p.roles), p.hierarchy)
-        cyclic = sorted(r for r, s in closure if r == s)
+        juniors = p._closure
+        cyclic = [role for role in juniors if role in juniors[role]]
         if cyclic:
-            problems.append(f"hierarchy contains a cycle through {cyclic[0]!r}")
+            problems.append(f"hierarchy contains a cycle through {min(cyclic)!r}")
     return problems
 
 
@@ -286,7 +324,7 @@ def lattice_dominates(p: LatticePolicy, l1: str, l2: str) -> bool:
     for label in (l1, l2):
         if label not in p.labels:
             raise ValueError(f"unknown label {label!r}")
-    return (l1, l2) in _label_closure(p)
+    return l1 == l2 or l2 in p._closure[l1]
 
 
 def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
@@ -296,41 +334,23 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
     ordered pair of distinct entities whose labels satisfy dominance gets a
     flow.  Equal labels yield flows in both directions.
     """
-    closure = _label_closure(p)
+    above, labelling = p._closure, p.labelling
     ports = {e: Implicit(e, LBAC_LABEL) for e in p.entities}
     flows = {
         Flow(ports[e1], ports[e2])
         for e1 in p.entities
         for e2 in p.entities
-        if e1 != e2 and (p.labelling[e1], p.labelling[e2]) in closure
+        if e1 != e2 and (labelling[e1] == labelling[e2] or labelling[e2] in above[labelling[e1]])
     }
     return CommonRepresentation(interfaces=ports.values(), flows=flows)
 
 
-def rbac_closure(p: RbacPolicy) -> frozenset[tuple[str, str]]:
-    """Transitive closure of the role hierarchy."""
-    return frozenset(_warshall(sorted(p.roles), p.hierarchy))
-
-
 def rbac_seniority(p: RbacPolicy, role: str) -> frozenset[str]:
-    """All roles junior to ``role``, the role itself excluded.
-
-    Walks the hierarchy down from ``role`` alone, so it costs the pairs of
-    the hierarchy, not a closure over every role.
-    """
+    """All roles junior to ``role``, the role itself excluded; read from the
+    policy's closure, which construction computed."""
     if role not in p.roles:
         raise ValueError(f"unknown role {role!r}")
-    direct: dict[str, list[str]] = {}
-    for senior, junior in p.hierarchy:
-        direct.setdefault(senior, []).append(junior)
-    found: set[str] = set()
-    stack = [role]
-    while stack:
-        for junior in direct.get(stack.pop(), ()):
-            if junior not in found:
-                found.add(junior)
-                stack.append(junior)
-    return frozenset(found)
+    return p._closure[role]
 
 
 def rbac_privileges(p: RbacPolicy, role: str) -> Grants:
@@ -338,7 +358,7 @@ def rbac_privileges(p: RbacPolicy, role: str) -> Grants:
     if role not in p.roles:
         raise ValueError(f"unknown role {role!r}")
     grants = set(p.assignments.get(role, frozenset()))
-    for junior in rbac_seniority(p, role):
+    for junior in p._closure[role]:
         grants |= p.assignments.get(junior, frozenset())
     return frozenset(grants)
 
@@ -351,15 +371,10 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
     """
     if not isinstance(semantics, RbacSemantics):
         raise ValueError(f"unknown semantics {semantics!r}")
-    juniors: dict[str, list[str]] = {}
-    for senior, junior in _warshall(sorted(p.roles), p.hierarchy):
-        juniors.setdefault(senior, []).append(junior)
     reads, writes = _ports({obj for grants in p.assignments.values() for obj, _mode in grants})
     flows: set[Flow] = set()
     for role in p.roles:
-        privileges = set(p.assignments.get(role, frozenset()))
-        for junior in juniors.get(role, ()):
-            privileges |= p.assignments.get(junior, frozenset())
+        privileges = rbac_privileges(p, role)
         readable = {o for o, m in privileges if m is Mode.R}
         writable = {o for o, m in privileges if m is Mode.W}
         if semantics is RbacSemantics.LITERAL:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import SchemaError, ValidationError, strict_object
 from .model import (
@@ -87,10 +87,6 @@ def _require_str(value: Any, where: str) -> str:
     return value
 
 
-def interface_to_dict(iface: InterfaceId) -> dict[str, str]:
-    return _key_to_dict(interface_key(iface))
-
-
 def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -110,10 +106,6 @@ def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
     raise SchemaError(f"{where}: kind must be 'explicit' or 'implicit', got {kind!r}")
 
 
-def flow_to_dict(flow: Flow) -> dict[str, Any]:
-    return {"from": interface_to_dict(flow.src), "to": interface_to_dict(flow.dst)}
-
-
 def flow_from_dict(obj: Any, where: str = "flow") -> Flow:
     strict_object(obj, {"from", "to"}, where)
     src = interface_from_dict(obj["from"], f"{where}.from")
@@ -124,11 +116,17 @@ def flow_from_dict(obj: Any, where: str = "flow") -> Flow:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def flows_to_list(flows: Iterable[Flow]) -> list[dict[str, Any]]:
+    """The document form of some flows, in canonical order: the ``flows``
+    array of :func:`cr_to_dict` and of every CLI report that lists flows."""
+    return [{"from": _key_to_dict(src), "to": _key_to_dict(dst)}
+            for src, dst in sorted(map(flow_key, flows))]
+
+
 def cr_to_dict(cr: CommonRepresentation) -> dict[str, Any]:
-    interfaces, flows = _canonical(cr)
     return {
-        "interfaces": [_key_to_dict(key) for key in interfaces],
-        "flows": [{"from": _key_to_dict(src), "to": _key_to_dict(dst)} for src, dst in flows],
+        "interfaces": [_key_to_dict(key) for key in sorted(map(interface_key, cr.interfaces))],
+        "flows": flows_to_list(cr.flows),
     }
 
 

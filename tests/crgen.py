@@ -11,8 +11,8 @@ from infoflow import (
     Implicit,
     Mode,
     RbacPolicy,
-    interface_key,
 )
+from infoflow.model import interface_key
 
 # Small shared pool so independently generated graphs overlap often.
 POOL = tuple(

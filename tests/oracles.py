@@ -2,8 +2,9 @@
 
 Nothing here may call into infoflow's own algorithms: components are counted
 with union-find (the library uses graph search), closures come from recursive DFS
-(the library uses Warshall), and permission flows are enumerated triple by
-triple.
+started afresh at every node (the library finishes nodes in post-order and
+reuses their finished sets, without recursion), and permission flows are
+enumerated triple by triple.
 """
 
 from infoflow import Explicit, Flow, Mode

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import infoflow
 from infoflow import (
@@ -22,7 +22,9 @@ from infoflow import (
     Mode,
     SchemaError,
     dumps,
+    format_interface,
     loads,
+    validate,
 )
 from infoflow import cli
 from infoflow.cli import main, parse_interface_token
@@ -409,6 +411,12 @@ class TestCheck:
         assert code == 5 and "not UTF-8" in err
         assert not report.exists()
 
+    def test_graph_name_holding_hash_exits_3(self, tmp_path, capsys):
+        doc = {"interfaces": [{"kind": "explicit", "entity": "a#b", "mode": "R"}],
+               "flows": []}
+        code, out, err = run(capsys, "check", write(tmp_path, "cr.json", doc), "--lively")
+        assert code == 3 and out == "" and "has '#' in its entity" in err
+
     def test_explicit_tokens(self, tmp_path, capsys):
         o_r, s_w = Explicit("o", Mode.R), Explicit("s", Mode.W)
         path = write_cr(tmp_path, "cr.json", CommonRepresentation({o_r, s_w}, {Flow(o_r, s_w)}))
@@ -487,6 +495,16 @@ def test_interface_token_parsing():
         parse_interface_token("#x")
     with pytest.raises(ValueError):
         parse_interface_token("bare")
+
+
+NAMES = st.text(st.sampled_from(["a", "b", "é", "#", ".", "R", "W", "\ud800"]), max_size=4)
+
+
+@given(st.one_of(st.builds(Explicit, NAMES, st.sampled_from(Mode)),
+                 st.builds(Implicit, NAMES, NAMES)))
+def test_every_valid_interface_reads_back_from_its_token(iface):
+    assume(validate(CommonRepresentation({iface})) == [])
+    assert parse_interface_token(format_interface(iface)) is iface
 
 
 # Words of the file formats, so that generated documents get past the first

@@ -22,11 +22,9 @@ from infoflow import (
     UnknownInterfaceError,
     append,
     append_strict,
-    availability_graph,
     component_count,
     dumps,
     grant,
-    interface_key,
     is_lively,
     loads,
     merge,
@@ -35,6 +33,7 @@ from infoflow import (
     validate,
 )
 from infoflow import model
+from infoflow.model import interface_key
 from crgen import POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac
 from oracles import (
     dfs_reachable,
@@ -105,6 +104,15 @@ class TestValidate:
         problems = validate(cr({Implicit("a", "x\ud800"), Explicit("zoë", Mode.R)}))
         assert problems == ["interface 'a#x\\ud800' has a label that is not UTF-8 text"]
 
+    def test_hash_in_entity_or_agent_reported(self):
+        # Their tokens, 'a#b.R' and 'a#b#c', would read back as Implicit('a', ...).
+        problems = validate(cr({Explicit("a#b", Mode.R), Implicit("a#b", "c"),
+                                Implicit("a", "b#c")}))
+        assert problems == [
+            "interface 'a#b.R' has '#' in its entity",
+            "interface 'a#b#c' has '#' in its agent",
+        ]
+
 
 class TestGrant:
     def test_permit_when_flow_present(self):
@@ -137,26 +145,27 @@ class TestGrant:
                 assert grant(f.dst, f.src, g) is GrantResult.DENY
 
 
+def oracle_component_count(g):
+    """Availability components by union-find over a pairwise scan for
+    complementary flows, with no library helper."""
+    return union_find_component_count(g.interfaces, pairwise_complementary_edges(g.flows))
+
+
 class TestAvailability:
+    """The availability graph, seen through ``component_count``."""
+
     def test_complementary_pair_becomes_edge(self):
-        g = availability_graph(cr({A, B}, {Flow(A, B), Flow(B, A)}))
-        assert g.vertices == frozenset({A, B})
-        assert g.edges == frozenset({frozenset({A, B})})
+        assert component_count(cr({A, B}, {Flow(A, B), Flow(B, A)})) == 1
 
     def test_one_way_flow_no_edge(self):
-        g = availability_graph(cr({A, B}, {Flow(A, B)}))
-        assert g.edges == frozenset()
+        assert component_count(cr({A, B}, {Flow(A, B)})) == 2
 
     def test_isolated_vertex_kept(self):
-        g = availability_graph(cr({A, B, C}, {Flow(A, B), Flow(B, A)}))
-        assert g.vertices == frozenset({A, B, C})
-        assert g.edges == frozenset({frozenset({A, B})})
+        assert component_count(cr({A, B, C}, {Flow(A, B), Flow(B, A)})) == 2
 
     @given(graphs())
     def test_edges_match_pairwise_scan(self, g):
-        assert availability_graph(g).edges == frozenset(
-            pairwise_complementary_edges(g.flows)
-        )
+        assert component_count(g) == oracle_component_count(g)
 
 
 class TestLiveliness:
@@ -177,9 +186,7 @@ class TestLiveliness:
 
     @given(graphs())
     def test_agrees_with_union_find(self, g):
-        avail = availability_graph(g)
-        count = union_find_component_count(avail.vertices, avail.edges)
-        assert is_lively(g) == (count == 1)
+        assert is_lively(g) == (oracle_component_count(g) == 1)
 
 
 class TestReachable:
@@ -213,8 +220,7 @@ class TestIndex:
 
     @given(graphs(max_interfaces=6), st.data())
     def test_repeated_queries_in_any_order_match_oracles(self, g, data):
-        avail = availability_graph(g)
-        components = union_find_component_count(avail.vertices, avail.edges)
+        components = oracle_component_count(g)
         ordered = sorted(g.interfaces, key=interface_key)
         queries = st.one_of(
             st.just(None),

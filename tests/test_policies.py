@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,13 +25,11 @@ from infoflow import (
     lbac_to_cr,
     policy_from_dict,
     policy_to_cr,
-    rbac_closure,
     rbac_privileges,
     rbac_seniority,
     rbac_to_cr,
     transpose_capabilities,
     validate,
-    validate_policy,
 )
 from crgen import random_acl, random_capabilities, random_rbac
 from oracles import dfs_closure, enumerate_listing_flows
@@ -204,7 +203,36 @@ class TestNamesMustBeUtf8:
             RbacPolicy(roles={"r"}, assignments={"r": {("o\ud800", R)}}, hierarchy=set())
 
     def test_non_ascii_is_fine(self):
-        assert validate_policy(AclPolicy(objects={"zoë"}, subjects={"\u2028"}, entries={})) == []
+        policy = AclPolicy(objects={"zoë"}, subjects={"\u2028"}, entries={})
+        assert policy.objects == {"zoë"} and policy.subjects == {"\u2028"}
+
+
+class TestInterfaceNamesHoldNoHash:
+    """A '#' in an entity or agent name would make its query token read back
+    as a different interface, so construction rejects it."""
+
+    def test_listing_names(self):
+        with pytest.raises(ValidationError, match=exactly(
+                "object name 'o#1' contains '#'; subject name 'a#b' contains '#'")):
+            AclPolicy(objects={"o#1"}, subjects={"a#b", "s"}, entries={})
+        with pytest.raises(ValidationError, match=exactly("subject name 's#' contains '#'")):
+            CapabilityPolicy(objects={"o"}, subjects={"s#"}, entries={})
+
+    def test_lattice_entity(self):
+        with pytest.raises(ValidationError, match=exactly("entity name 'e#x' contains '#'")):
+            LatticePolicy(labels={"l"}, order=set(), entities={"e#x"}, labelling={"e#x": "l"})
+
+    def test_rbac_assigned_object(self):
+        with pytest.raises(ValidationError,
+                           match=exactly("assigned object name 'o#' contains '#'")):
+            RbacPolicy(roles={"r"}, assignments={"r": {("o#", R)}}, hierarchy=set())
+
+    def test_labels_and_roles_may_hold_it(self):
+        # Lattice labels and role names never become interface names.
+        p = LatticePolicy(labels={"l#1"}, order=set(), entities={"e"}, labelling={"e": "l#1"})
+        assert lbac_to_cr(p).interfaces == {Implicit("e", "lbac")}
+        r = RbacPolicy(roles={"r#1"}, assignments={"r#1": {("o", R)}}, hierarchy=set())
+        assert rbac_privileges(r, "r#1") == {("o", R)}
 
 
 def lattice(entities_by_label, order):
@@ -244,8 +272,26 @@ class TestLattice:
             lattice({"A": "a"}, [("a", "b"), ("b", "a")])
 
     def test_cycle_through_three_labels_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=exactly(
+                "order is not antisymmetric: 'a' and 'b' dominate each other; "
+                "order is not antisymmetric: 'a' and 'c' dominate each other; "
+                "order is not antisymmetric: 'b' and 'c' dominate each other")):
             lattice({"A": "a"}, [("a", "b"), ("b", "c"), ("c", "a")])
+
+    @given(st.data())
+    def test_dominance_agrees_with_dfs_on_random_acyclic_orders(self, data):
+        size = data.draw(st.integers(1, 8))
+        # Pairs run from earlier to later in a shuffled order, so the order
+        # is acyclic but not the order of the names.
+        labels = data.draw(st.permutations([f"l{n}" for n in range(size)]))
+        pairs = [(labels[i], labels[j]) for i in range(size) for j in range(i + 1, size)]
+        order = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        p = LatticePolicy(labels=set(labels), order=order, entities={"e"},
+                          labelling={"e": labels[0]})
+        closure = dfs_closure(labels, order)
+        for l1 in labels:
+            for l2 in labels:
+                assert lattice_dominates(p, l1, l2) == (l1 == l2 or (l1, l2) in closure)
 
     def test_unlabelled_entity_rejected(self):
         with pytest.raises(ValidationError, match="no label"):
@@ -303,33 +349,53 @@ def rbac(roles, assignments, hierarchy):
     return RbacPolicy(roles=roles, assignments=assignments, hierarchy=hierarchy)
 
 
+def seniority_pairs(p):
+    """Every (senior, junior) pair of the hierarchy's closure, from ``rbac_seniority``."""
+    return {(role, junior) for role in p.roles for junior in rbac_seniority(p, role)}
+
+
 class TestRbacHierarchy:
     def test_closure_adds_transitive_pair(self):
         p = rbac({"a", "b", "c"}, {}, {("a", "b"), ("b", "c")})
-        assert rbac_closure(p) == frozenset({("a", "b"), ("b", "c"), ("a", "c")})
+        assert seniority_pairs(p) == {("a", "b"), ("b", "c"), ("a", "c")}
 
     def test_closure_of_empty_hierarchy(self):
-        assert rbac_closure(rbac({"a"}, {}, set())) == frozenset()
+        assert seniority_pairs(rbac({"a"}, {}, set())) == set()
 
     def test_closure_already_closed(self):
         p = rbac({"a", "b"}, {}, {("a", "b")})
-        assert rbac_closure(p) == frozenset({("a", "b")})
+        assert seniority_pairs(p) == {("a", "b")}
 
     def test_closure_matches_dfs_on_random_dags(self):
         rng = random.Random(23)
         for _ in range(200):
             policy = random_rbac(rng)
-            assert rbac_closure(policy) == frozenset(
-                dfs_closure(sorted(policy.roles), policy.hierarchy)
-            )
+            assert seniority_pairs(policy) == dfs_closure(sorted(policy.roles), policy.hierarchy)
 
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError, match="cycle"):
-            rbac_closure(rbac({"a", "b"}, {}, {("a", "b"), ("b", "a")}))
+            rbac({"a", "b"}, {}, {("a", "b"), ("b", "a")})
+
+    def test_cycle_is_named_by_its_smallest_role(self):
+        # 'a' is senior to the cycle but not on it.
+        with pytest.raises(ValidationError,
+                           match=exactly("hierarchy contains a cycle through 'b'")):
+            rbac({"a", "b", "c"}, {}, {("a", "b"), ("b", "c"), ("c", "b")})
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValidationError, match="own junior"):
-            rbac_closure(rbac({"a"}, {}, {("a", "a")}))
+            rbac({"a"}, {}, {("a", "a")})
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        depth = 1500
+        assert depth > sys.getrecursionlimit()
+        roles = [f"r{n:04d}" for n in range(depth)]
+        p = rbac(set(roles), {roles[-1]: {("o", R)}, roles[0]: {("o", W)}},
+                 set(zip(roles, roles[1:])))
+        assert rbac_seniority(p, roles[0]) == frozenset(roles[1:])
+        assert rbac_privileges(p, roles[0]) == {("o", R), ("o", W)}
+        assert rbac_to_cr(p, RbacSemantics.CROSS_OBJECT).flows == {
+            Flow(ex("o", R), ex("o", W))}
 
     def test_seniority(self):
         p = rbac({"a", "b", "c"}, {}, {("a", "b"), ("b", "c")})
@@ -364,7 +430,7 @@ class TestRbacHierarchy:
         grants = st.frozensets(st.tuples(st.sampled_from(["o1", "o2"]), st.sampled_from(Mode)))
         assignments = data.draw(st.dictionaries(st.sampled_from(roles), grants))
         p = rbac(set(roles), assignments, hierarchy)
-        closure = rbac_closure(p)
+        closure = dfs_closure(roles, hierarchy)
         for role in roles:
             juniors = frozenset(j for s, j in closure if s == role)
             assert rbac_seniority(p, role) == juniors
@@ -377,7 +443,7 @@ class TestRbacHierarchy:
         rng = random.Random(31)
         for _ in range(100):
             policy = random_rbac(rng)
-            for senior, junior in rbac_closure(policy):
+            for senior, junior in seniority_pairs(policy):
                 assert rbac_privileges(policy, senior) >= rbac_privileges(policy, junior)
 
 
@@ -442,8 +508,8 @@ class TestPolicyLoading:
     @pytest.mark.parametrize("kind", sorted(DOCS))
     def test_validates_once(self, monkeypatch, kind):
         calls = []
-        original = policies.validate_policy
-        monkeypatch.setattr(policies, "validate_policy", lambda p: calls.append(p) or original(p))
+        original = policies._check_valid
+        monkeypatch.setattr(policies, "_check_valid", lambda p: calls.append(p) or original(p))
         policy_to_cr(policy_from_dict(DOCS[kind]))
         assert len(calls) == 1 and type(calls[0]) is CLASSES[kind]
 

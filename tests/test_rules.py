@@ -18,12 +18,12 @@ from infoflow import (
     ValidationError,
     append,
     apply_rule,
-    condition_from_dict,
     conflicts,
     eval_condition,
     merge,
     rule_from_dict,
 )
+from infoflow.rules import condition_from_dict
 from crgen import graphs
 
 X = Implicit("x", "i")

@@ -11,12 +11,11 @@ from infoflow import (
     Mode,
     SchemaError,
     ValidationError,
-    cr_from_dict,
-    cr_to_dict,
     dumps,
     loads,
     to_dot,
 )
+from infoflow.serialize import cr_from_dict, cr_to_dict
 from crgen import graphs
 
 A = Implicit("a", "x")
