@@ -140,6 +140,9 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     if args.op == "rule" and not args.rule_file:
         _err("compose rule needs --rule RULE_FILE")
         return 2
+    if args.op != "rule" and args.rule_file is not None:
+        _err(f"compose {args.op} takes no --rule; only compose rule reads a rule file")
+        return 2
     crs = [_load_cr(path) for path in args.crs]
     if args.op != "rule":
         composer = rules._COMPOSERS[rules.Action(args.op)]
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     composec.add_argument("op", choices=["merge", "append", "append-strict", "rule"])
     composec.add_argument("crs", nargs="+", metavar="CR", help="graph JSON files, in order")
     composec.add_argument("--rule", dest="rule_file", metavar="RULE",
-                          help="rule JSON file (required for the rule op)")
+                          help="rule JSON file (the rule op only, which requires it)")
     _add_output(composec, "the composed graph (rule op: report stays on stdout)")
     composec.set_defaults(handler=_cmd_compose)
 

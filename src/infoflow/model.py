@@ -20,8 +20,8 @@ the interned object.  Constructors check field types: an ``Explicit``
 needs a ``str`` entity and a :class:`Mode`, an ``Implicit`` two ``str``
 fields, and anything else raises :class:`TypeError`.
 
-The one piece of state a graph gains later is a derived index (vertex
-numbering, successor tuples, availability component count), filled on the
+The one piece of state a graph gains later is a derived index (each
+interface's successor set, availability component count), filled on the
 first ``reachable``, ``is_lively`` or ``component_count`` query and reused
 by every later query on the same value.  It is not a field, so equality,
 hashing and serialized output never see it; two threads racing to fill it
@@ -249,48 +249,36 @@ class CommonRepresentation:
         object.__setattr__(self, "flows", frozenset(self.flows))
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[InterfaceId, int], tuple[tuple[int, ...], ...]]:
-        """Vertex numbers and the successor numbers of each vertex.
-
-        Declared interfaces are numbered first, then any undeclared flow
-        endpoint, so numbers below ``len(self.interfaces)`` are declared.
-        """
-        ids = {iface: n for n, iface in enumerate(self.interfaces)}
-        successors: list[list[int]] = [[] for _ in ids]
+    def _successors(self) -> dict[InterfaceId, set[InterfaceId]]:
+        """The destinations of each flow source, undeclared ones included;
+        a vertex with no outgoing flow has no entry."""
+        successors: dict[InterfaceId, set[InterfaceId]] = {}
         for flow in self.flows:
-            try:
-                successors[ids[flow.src]].append(ids[flow.dst])
-            except KeyError:
-                for endpoint in (flow.src, flow.dst):
-                    if endpoint not in ids:
-                        ids[endpoint] = len(successors)
-                        successors.append([])
-                successors[ids[flow.src]].append(ids[flow.dst])
-        return ids, tuple(map(tuple, successors))
+            row = successors.get(flow.src)
+            if row is None:
+                successors[flow.src] = {flow.dst}
+            else:
+                row.add(flow.dst)
+        return successors
 
     @cached_property
     def _component_count(self) -> int:
-        """Connected components of the availability graph over the declared interfaces."""
-        successors = self._adjacency[1]
-        n = len(successors)
-        # One integer per flow, so each complementary check is a set lookup.
-        keys = {src * n + dst for src, row in enumerate(successors) for dst in row}
-        mutual = [
-            [dst for dst in row if dst * n + src in keys]
-            for src, row in enumerate(successors)
-        ]
-        seen = bytearray(n)
+        """Connected components of the availability graph over the declared
+        interfaces; an undeclared endpoint joins components but starts none."""
+        successors = self._successors
+        seen: set[InterfaceId] = set()
         count = 0
-        for start in range(len(self.interfaces)):
-            if seen[start]:
+        for start in self.interfaces:
+            if start in seen:
                 continue
             count += 1
-            seen[start] = 1
+            seen.add(start)
             stack = [start]
             while stack:
-                for nxt in mutual[stack.pop()]:
-                    if not seen[nxt]:
-                        seen[nxt] = 1
+                here = stack.pop()
+                for nxt in successors.get(here, ()):
+                    if nxt not in seen and here in successors.get(nxt, ()):
+                        seen.add(nxt)
                         stack.append(nxt)
         return count
 
@@ -373,15 +361,14 @@ def reachable(cr: CommonRepresentation, src: InterfaceId, dst: InterfaceId) -> b
     for iface in (src, dst):
         if iface not in cr.interfaces:
             raise UnknownInterfaceError(f"unknown interface {format_interface(iface)}")
-    if src == dst:
+    if src is dst:
         return True
-    ids, successors = cr._adjacency
-    start, goal = ids[src], ids[dst]
-    seen = {start}
-    stack = [start]
+    successors = cr._successors
+    seen = {src}
+    stack = [src]
     while stack:
-        for nxt in successors[stack.pop()]:
-            if nxt == goal:
+        for nxt in successors.get(stack.pop(), ()):
+            if nxt is dst:
                 return True
             if nxt not in seen:
                 seen.add(nxt)

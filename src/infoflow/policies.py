@@ -373,7 +373,9 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
         raise ValueError(f"unknown semantics {semantics!r}")
     reads, writes = _ports({obj for grants in p.assignments.values() for obj, _mode in grants})
     flows: set[Flow] = set()
-    for role in p.roles:
+    # A junior's privileges are a subset of each senior's, so roles with no
+    # senior already yield every flow.
+    for role in p.roles - {junior for _senior, junior in p.hierarchy}:
         privileges = rbac_privileges(p, role)
         readable = {o for o, m in privileges if m is Mode.R}
         writable = {o for o, m in privileges if m is Mode.W}

@@ -41,6 +41,13 @@ class Action(enum.Enum):
     REJECT = "reject"
 
 
+def _expect(value: Any, kind: Any, what: str) -> None:
+    """Raise :class:`TypeError` unless ``value`` is a ``kind``; ``what`` names
+    the expected value for the message."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class NoConflicts:
     """Holds iff the two graphs have no conflicts."""
@@ -52,12 +59,17 @@ class ConflictsComplementaryIn:
 
     side: Side
 
+    def __post_init__(self) -> None:
+        _expect(self.side, Side, "ConflictsComplementaryIn takes a Side")
+
 
 @dataclass(frozen=True)
 class ConflictCountAtMost:
     n: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise TypeError(f"ConflictCountAtMost takes an int, got {type(self.n).__name__}")
         if self.n < 0:
             raise ValueError("conflict count bound must be non-negative")
 
@@ -70,11 +82,16 @@ class And:
         object.__setattr__(self, "conditions", tuple(self.conditions))
         if not self.conditions:
             raise ValueError("'and' needs at least one condition")
+        for sub in self.conditions:
+            _expect(sub, Condition, "And takes conditions")
 
 
 @dataclass(frozen=True)
 class Not:
     condition: "Condition"
+
+    def __post_init__(self) -> None:
+        _expect(self.condition, Condition, "Not takes a condition")
 
 
 Condition = NoConflicts | ConflictsComplementaryIn | ConflictCountAtMost | And | Not
@@ -93,6 +110,9 @@ class CompositionRule:
     else_action: Action
 
     def __post_init__(self) -> None:
+        _expect(self.condition, Condition, "CompositionRule.condition must be a condition")
+        _expect(self.then_action, Action, "CompositionRule.then_action must be an Action")
+        _expect(self.else_action, Action, "CompositionRule.else_action must be an Action")
         if self.then_action == self.else_action:
             raise ValidationError("rule actions must differ")
 

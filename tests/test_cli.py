@@ -294,6 +294,14 @@ class TestCompose:
         code, _, err = run(capsys, "compose", "rule", *pair)
         assert code == 2
 
+    @pytest.mark.parametrize("op", ["merge", "append", "append-strict"])
+    def test_rule_file_with_another_op_exits_2(self, op, pair, tmp_path, capsys):
+        rule = write(tmp_path, "rule.json", RULE_DOC)
+        for rule_file in (rule, str(tmp_path / "missing.json")):
+            code, out, err = run(capsys, "compose", op, *pair, "--rule", rule_file)
+            assert code == 2 and out == ""
+            assert f"compose {op} takes no --rule" in err
+
     def test_needs_two_files(self, pair, capsys):
         code, _, err = run(capsys, "compose", "merge", pair[0])
         assert code == 2

@@ -36,6 +36,7 @@ from infoflow import model
 from infoflow.model import interface_key
 from crgen import POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac
 from oracles import (
+    UnionFind,
     dfs_reachable,
     pairwise_complementary_edges,
     union_find_component_count,
@@ -245,6 +246,21 @@ class TestIndex:
         assert g == fresh and fresh == g
         assert hash(g) == hash(fresh)
         assert dumps(g) == before == dumps(fresh)
+
+    @given(graphs(), st.data())
+    def test_undeclared_and_sink_only_endpoints_match_oracles(self, full, data):
+        # The flows keep every endpoint, but only a random subset is declared.
+        ordered = sorted(full.interfaces, key=interface_key)
+        declared = sorted(data.draw(st.sets(st.sampled_from(ordered))) if ordered else (),
+                          key=interface_key)
+        g = cr(declared, full.flows)
+        uf = UnionFind(full.interfaces)
+        for edge in pairwise_complementary_edges(g.flows):
+            uf.union(*edge)
+        assert component_count(g) == len({uf.find(iface) for iface in declared})
+        for src in declared:
+            for dst in declared:
+                assert reachable(g, src, dst) == dfs_reachable(g.flows, src, dst)
 
     def test_undeclared_endpoint_joins_but_is_not_counted(self):
         g = cr({A, C}, {Flow(A, B), Flow(B, A), Flow(B, C), Flow(C, B)})

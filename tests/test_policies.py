@@ -354,6 +354,27 @@ def seniority_pairs(p):
     return {(role, junior) for role in p.roles for junior in rbac_seniority(p, role)}
 
 
+@st.composite
+def acyclic_rbac(draw):
+    size = draw(st.integers(1, 9))
+    # Pairs run from earlier to later in a shuffled order, so the
+    # hierarchy is acyclic but its order is not the order of the names.
+    roles = draw(st.permutations([f"r{n}" for n in range(size)]))
+    pairs = [(roles[i], roles[j]) for i in range(size) for j in range(i + 1, size)]
+    hierarchy = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    grants = st.frozensets(st.tuples(st.sampled_from(["o1", "o2", "o3"]), st.sampled_from(Mode)))
+    return rbac(set(roles), draw(st.dictionaries(st.sampled_from(roles), grants)), hierarchy)
+
+
+def reference_privileges(p, closure, role):
+    """The role's grants plus those of every junior in ``closure``, an oracle's pair set."""
+    privileges = set(p.assignments.get(role, ()))
+    for senior, junior in closure:
+        if senior == role:
+            privileges |= p.assignments.get(junior, frozenset())
+    return privileges
+
+
 class TestRbacHierarchy:
     def test_closure_adds_transitive_pair(self):
         p = rbac({"a", "b", "c"}, {}, {("a", "b"), ("b", "c")})
@@ -419,25 +440,13 @@ class TestRbacHierarchy:
     def test_privileges_of_bare_role(self):
         assert rbac_privileges(rbac({"a"}, {}, set()), "a") == frozenset()
 
-    @given(st.data())
-    def test_walks_agree_with_closure_on_random_acyclic_hierarchies(self, data):
-        size = data.draw(st.integers(1, 9))
-        # Pairs run from earlier to later in a shuffled order, so the
-        # hierarchy is acyclic but its order is not the order of the names.
-        roles = data.draw(st.permutations([f"r{n}" for n in range(size)]))
-        pairs = [(roles[i], roles[j]) for i in range(size) for j in range(i + 1, size)]
-        hierarchy = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-        grants = st.frozensets(st.tuples(st.sampled_from(["o1", "o2"]), st.sampled_from(Mode)))
-        assignments = data.draw(st.dictionaries(st.sampled_from(roles), grants))
-        p = rbac(set(roles), assignments, hierarchy)
-        closure = dfs_closure(roles, hierarchy)
-        for role in roles:
+    @given(acyclic_rbac())
+    def test_walks_agree_with_closure_on_random_acyclic_hierarchies(self, p):
+        closure = dfs_closure(p.roles, p.hierarchy)
+        for role in p.roles:
             juniors = frozenset(j for s, j in closure if s == role)
             assert rbac_seniority(p, role) == juniors
-            expected = set(p.assignments.get(role, ()))
-            for junior in juniors:
-                expected |= p.assignments.get(junior, frozenset())
-            assert rbac_privileges(p, role) == expected
+            assert rbac_privileges(p, role) == reference_privileges(p, closure, role)
 
     def test_privileges_monotone_along_hierarchy(self):
         rng = random.Random(31)
@@ -476,6 +485,32 @@ class TestRbacTranslation:
         p = rbac({"r"}, {}, set())
         with pytest.raises(ValueError, match="semantics"):
             rbac_to_cr(p, "literal")
+
+    @given(acyclic_rbac())
+    def test_both_semantics_match_a_per_role_reference(self, p):
+        closure = dfs_closure(p.roles, p.hierarchy)
+        literal, cross = set(), set()
+        for role in p.roles:
+            privileges = reference_privileges(p, closure, role)
+            readable = {o for o, m in privileges if m is R}
+            writable = {o for o, m in privileges if m is W}
+            literal |= {Flow(ex(o, R), ex(o, W)) for o in readable & writable}
+            cross |= {Flow(ex(r, R), ex(w, W)) for r in readable for w in writable}
+        assert rbac_to_cr(p, RbacSemantics.LITERAL).flows == literal
+        assert rbac_to_cr(p, RbacSemantics.CROSS_OBJECT).flows == cross
+
+    def test_wide_overlapping_hierarchy_cross_object(self):
+        # 150 roles, each senior to the next three, each holding 3 random
+        # grants over 300 objects: every role has up to 150 juniors.
+        rng = random.Random(1)
+        roles = [f"r{i}" for i in range(150)]
+        hierarchy = {(roles[i], roles[j]) for i in range(150) for j in range(i + 1, min(i + 4, 150))}
+        assignments = {
+            role: {(f"o{rng.randrange(300)}", rng.choice((R, W))) for _ in range(3)}
+            for role in roles
+        }
+        p = rbac(set(roles), assignments, hierarchy)
+        assert len(rbac_to_cr(p, RbacSemantics.CROSS_OBJECT).flows) == 25_596
 
     def test_literal_subset_of_cross_object(self):
         rng = random.Random(41)

@@ -89,6 +89,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConflictCountAtMost(-1)
 
+    def test_side_must_be_a_side(self):
+        with pytest.raises(TypeError, match="takes a Side, got str"):
+            ConflictsComplementaryIn("first")
+
+    @pytest.mark.parametrize("bound", [True, 1.5, "1"])
+    def test_count_bound_must_be_an_int(self, bound):
+        with pytest.raises(TypeError, match="takes an int"):
+            ConflictCountAtMost(bound)
+
+    def test_not_takes_a_condition(self):
+        with pytest.raises(TypeError, match="Not takes a condition, got int"):
+            Not(5)
+
+    @pytest.mark.parametrize("subs", [(5,), (NoConflicts(), Action.MERGE)])
+    def test_and_takes_conditions(self, subs):
+        with pytest.raises(TypeError, match="And takes conditions"):
+            And(subs)
+
+    def test_rule_condition_must_be_a_condition(self):
+        with pytest.raises(TypeError, match="condition must be a condition, got int"):
+            CompositionRule(5, Action.MERGE, Action.APPEND)
+
+    @pytest.mark.parametrize("then_action, else_action", [
+        ("merge", Action.APPEND), (Action.MERGE, "append"), ("merge", "append"),
+    ])
+    def test_rule_actions_must_be_actions(self, then_action, else_action):
+        with pytest.raises(TypeError, match="action must be an Action, got str"):
+            CompositionRule(NoConflicts(), then_action, else_action)
+
     def test_decision_result_presence(self):
         with pytest.raises(ValueError):
             CompositionDecision(Action.MERGE, None, frozenset())
