@@ -30,7 +30,7 @@ def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresenta
     only when neither it nor its inverse appears in a's flows.
     """
     survivors = {
-        f for f in b.flows if f not in a.flows and f.inverse() not in a.flows
+        f for f in b.flows if f not in a.flows and (f.dst, f.src) not in a.flows
     }
     return CommonRepresentation(
         interfaces=a.interfaces | b.interfaces,

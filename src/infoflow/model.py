@@ -21,7 +21,7 @@ needs a ``str`` entity and a :class:`Mode`, an ``Implicit`` two ``str``
 fields, and anything else raises :class:`TypeError`.
 
 The one piece of state a graph gains later is a derived index (each
-interface's successor set, availability component count), filled on the
+flow source's successor list, availability component count), filled on the
 first ``reachable``, ``is_lively`` or ``component_count`` query and reused
 by every later query on the same value.  It is not a field, so equality,
 hashing and serialized output never see it; two threads racing to fill it
@@ -36,7 +36,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Any, Callable, ClassVar
+from operator import itemgetter
 
 from .errors import UnknownInterfaceError
 
@@ -60,21 +60,16 @@ class GrantResult(enum.Enum):
     UNDEFINED = "undefined"
 
 
-class _Entry(weakref.ref):
-    """The intern table's weak reference to an interface; ``key`` is its entry's key."""
-
-    __slots__ = ("key",)
-
-
-# Every live interface, keyed by (class, field values).  The values are weak
-# references, so the table holds only interfaces that something else holds.
-_interned: dict[tuple, _Entry] = {}
+# Every live interface, keyed by (class, field values), as a weak reference
+# that carries its key: the table holds only interfaces something else holds.
+_interned: dict[tuple, weakref.KeyedRef] = {}
 _intern_lock = threading.Lock()
 
 
-def _discard(dead: _Entry) -> None:
-    """Drop a collected interface's entry, unless a new interface for the
-    same value has replaced it already."""
+def _discard(dead: weakref.KeyedRef) -> None:
+    """Drop a collected interface's entry unless a new interface for the same
+    value replaced it already.  The collector may call this inside
+    :func:`_intern`, lock held, so it must not take the lock."""
     _remove_dead_weakref(_interned, dead.key)
 
 
@@ -89,14 +84,12 @@ def _intern(key: tuple) -> _Interface:
         ref = _interned.get(key)
         iface = None if ref is None else ref()
         if iface is None:
-            cls, first, second = key
-            set_first, set_second = cls._setters
+            cls, *values = key
             iface = object.__new__(cls)
-            set_first(iface, first)
-            set_second(iface, second)
-            ref = _Entry(iface, _discard)
-            ref.key = key
-            _interned[key] = ref
+            # Past the class's own ``__setattr__``, which refuses every write.
+            for name, value in zip(cls.__slots__, values):
+                object.__setattr__(iface, name, value)
+            _interned[key] = weakref.KeyedRef(iface, _discard, key)
     return iface
 
 
@@ -106,13 +99,6 @@ class _Interface:
     returns the object from :func:`_intern`."""
 
     __slots__ = ("__weakref__",)
-    _setters: ClassVar[tuple[Callable[[Any, Any], None], ...]]
-
-    def __init_subclass__(cls) -> None:
-        # The slots' own setters, which write a new interface's fields past
-        # ``__setattr__``.
-        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
-        cls.__match_args__ = cls.__slots__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -138,6 +124,7 @@ class Explicit(_Interface):
     """
 
     __slots__ = ("entity", "mode")
+    __match_args__ = __slots__
     entity: str
     mode: Mode
 
@@ -157,6 +144,7 @@ class Implicit(_Interface):
     """A mode-less agent port; one agent may carry several, told apart by label."""
 
     __slots__ = ("agent", "label")
+    __match_args__ = __slots__
     agent: str
     label: str
 
@@ -207,29 +195,47 @@ def _is_utf8(name: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Flow:
-    """A directed edge: information may move from ``src`` to ``dst``.
+class Flow(tuple):
+    """A directed edge, the pair ``(src, dst)``: information may move from src to dst.
 
-    Self-loops on a single interface are rejected; a flow between the R and
-    W interfaces of the same entity is fine because those are distinct
-    interfaces.
+    A flow equals its plain pair and hashes like it, so ``(x, y) in flows``
+    asks whether an edge exists without building a flow; an interface
+    never equals a tuple.  Both endpoints must be interfaces (else
+    :class:`TypeError`) and not the same one (else :class:`ValueError`);
+    the R and W interfaces of one entity are two interfaces.
     """
 
-    src: InterfaceId
-    dst: InterfaceId
+    __slots__ = ()
+    __match_args__ = ("src", "dst")
+    src = property(itemgetter(0), doc="The interface information leaves.")
+    dst = property(itemgetter(1), doc="The interface information enters.")
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"self-flow on interface {format_interface(self.src)}")
+    def __new__(cls, src: InterfaceId, dst: InterfaceId) -> Flow:
+        if not isinstance(src, _Interface) or not isinstance(dst, _Interface):
+            raise TypeError(
+                f"Flow takes two interfaces, got {type(src).__name__} and {type(dst).__name__}"
+            )
+        # Interfaces are interned, so equal endpoints are one object.
+        if src is dst:
+            raise ValueError(f"self-flow on interface {format_interface(src)}")
+        return tuple.__new__(cls, (src, dst))
 
-    def inverse(self) -> "Flow":
+    def __reduce__(self) -> tuple:
+        # Every pickle protocol, copy and deepcopy rebuild through ``__new__``
+        # and its checks; ``__getnewargs__`` would be skipped by protocols 0-1.
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Flow(src={self[0]!r}, dst={self[1]!r})"
+
+    def inverse(self) -> Flow:
         """The reverse flow; ``f.inverse().inverse() == f``."""
-        return Flow(self.dst, self.src)
+        return Flow(self[1], self[0])
 
 
 def flow_key(flow: Flow) -> tuple[InterfaceKey, InterfaceKey]:
-    return (interface_key(flow.src), interface_key(flow.dst))
+    src, dst = flow
+    return (interface_key(src), interface_key(dst))
 
 
 def format_flow(flow: Flow) -> str:
@@ -249,23 +255,19 @@ class CommonRepresentation:
         object.__setattr__(self, "flows", frozenset(self.flows))
 
     @cached_property
-    def _successors(self) -> dict[InterfaceId, set[InterfaceId]]:
+    def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:
         """The destinations of each flow source, undeclared ones included;
         a vertex with no outgoing flow has no entry."""
-        successors: dict[InterfaceId, set[InterfaceId]] = {}
-        for flow in self.flows:
-            row = successors.get(flow.src)
-            if row is None:
-                successors[flow.src] = {flow.dst}
-            else:
-                row.add(flow.dst)
+        successors: dict[InterfaceId, list[InterfaceId]] = {}
+        for src, dst in self.flows:
+            successors.setdefault(src, []).append(dst)
         return successors
 
     @cached_property
     def _component_count(self) -> int:
         """Connected components of the availability graph over the declared
         interfaces; an undeclared endpoint joins components but starts none."""
-        successors = self._successors
+        successors, flows = self._successors, self.flows
         seen: set[InterfaceId] = set()
         count = 0
         for start in self.interfaces:
@@ -277,7 +279,7 @@ class CommonRepresentation:
             while stack:
                 here = stack.pop()
                 for nxt in successors.get(here, ()):
-                    if nxt not in seen and here in successors.get(nxt, ()):
+                    if nxt not in seen and (nxt, here) in flows:
                         seen.add(nxt)
                         stack.append(nxt)
         return count
@@ -310,7 +312,7 @@ def validate(cr: CommonRepresentation) -> list[str]:
             elif "#" in value and name != "label":
                 problems.append(f"interface {format_interface(iface)!r} has '#' in its {name}")
     for flow in sorted(cr.flows, key=flow_key):
-        for endpoint in (flow.src, flow.dst):
+        for endpoint in flow:
             if endpoint not in cr.interfaces:
                 problems.append(
                     f"flow {format_flow(flow)} references undeclared interface "
@@ -328,9 +330,7 @@ def grant(i1: InterfaceId, i2: InterfaceId, cr: CommonRepresentation) -> GrantRe
     """
     if i1 not in cr.interfaces or i2 not in cr.interfaces:
         return GrantResult.UNDEFINED
-    if i1 != i2 and Flow(i1, i2) in cr.flows:
-        return GrantResult.PERMIT
-    return GrantResult.DENY
+    return GrantResult.PERMIT if (i1, i2) in cr.flows else GrantResult.DENY
 
 
 def component_count(cr: CommonRepresentation) -> int:

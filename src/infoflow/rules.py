@@ -146,7 +146,7 @@ def _eval(c: Condition, a: CommonRepresentation, b: CommonRepresentation,
         return not conflict_set
     if isinstance(c, ConflictsComplementaryIn):
         flows = a.flows if c.side is Side.FIRST else b.flows
-        return all(f.inverse() in flows for f in conflict_set)
+        return all((f.dst, f.src) in flows for f in conflict_set)
     if isinstance(c, ConflictCountAtMost):
         return len(conflict_set) <= c.n
     if isinstance(c, And):

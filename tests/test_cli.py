@@ -562,6 +562,8 @@ INPUTS = {
 }
 TOKENS = (
     st.sampled_from(["a#x", "b#x", "p.R", "q.W", "o1.R", "bad", ".R", "#x"]) | st.text(max_size=5)
+    | NAMES.map(lambda name: f"{name}.R") | NAMES.map(lambda name: f"{name}.W")
+    | st.builds(lambda agent, label: f"{agent}#{label}", NAMES, NAMES)
 )
 
 # Each subcommand: its input kinds, and its argv from those files and four tokens.

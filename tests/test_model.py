@@ -81,6 +81,60 @@ class TestFlow:
         y = Explicit("o1", Mode.W)
         assert Flow(x, y).inverse() == Flow(y, x)
 
+    def test_equals_and_hashes_like_its_pair(self):
+        assert Flow(A, B) == (A, B)
+        assert hash(Flow(A, B)) == hash((A, B))
+        assert Flow(A, B) != (B, A)
+
+    def test_membership_works_both_ways(self):
+        assert (A, B) in frozenset({Flow(A, B)})
+        assert Flow(A, B) in {(A, B)}
+        assert (B, A) not in frozenset({Flow(A, B)})
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_returns_an_equal_flow(self, protocol):
+        back = pickle.loads(pickle.dumps(Flow(A, B), protocol))
+        assert back == Flow(A, B) and type(back) is Flow
+        assert back.src is A and back.dst is B
+
+    def test_copies_return_an_equal_flow(self):
+        for back in (copy.copy(Flow(A, B)), copy.deepcopy(Flow(A, B))):
+            assert back == Flow(A, B) and type(back) is Flow
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_checks_the_endpoints(self, protocol):
+        # Built past the constructor, as no caller should; the pickle must
+        # still be rebuilt through it.
+        forged = tuple.__new__(Flow, ("a", "b"))
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(forged, protocol))
+
+    def test_class_pattern_matches_endpoints(self):
+        match Flow(A, B):
+            case Flow(src, dst):
+                assert (src, dst) == (A, B)
+            case _:
+                pytest.fail("Flow(src, dst) did not match")
+
+    def test_repr_names_the_fields(self):
+        assert repr(Flow(A, B)) == f"Flow(src={A!r}, dst={B!r})"
+
+    def test_fields_cannot_be_assigned(self):
+        f = Flow(A, B)
+        with pytest.raises(AttributeError):
+            f.src = C
+        assert f.src is A
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Flow("a", "b"), lambda: Flow(A, "b"), lambda: Flow(None, B),
+         lambda: Flow((A, B), C), lambda: Flow(A, Mode.R)],
+        ids=["str-str", "iface-str", "none-iface", "tuple-iface", "iface-mode"],
+    )
+    def test_endpoint_that_is_not_an_interface_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
 
 class TestValidate:
     def test_well_formed(self):

@@ -53,6 +53,11 @@ class TestEvalCondition:
         assert conflicts(A_FWD, B_BWD) == frozenset({Flow(X, Y), Flow(Y, X)})
         assert not eval_condition(ConflictsComplementaryIn(Side.FIRST), A_FWD, B_BWD)
 
+    def test_one_way_conflict_is_not_covered_by_itself(self):
+        # The conflict (x, y) is a flow of A; only its inverse (y, x) counts.
+        assert conflicts(A_FWD, B_EMPTY) == frozenset({Flow(X, Y)})
+        assert not eval_condition(ConflictsComplementaryIn(Side.FIRST), A_FWD, B_EMPTY)
+
     def test_second_side_variant(self):
         assert eval_condition(ConflictsComplementaryIn(Side.SECOND), B_EMPTY, A_BIDI)
 
