@@ -14,9 +14,7 @@ from .model import CommonRepresentation, Flow
 def conflicts(a: CommonRepresentation, b: CommonRepresentation) -> frozenset[Flow]:
     """Flows over shared interfaces that exactly one graph permits."""
     shared = a.interfaces & b.interfaces
-    return frozenset(
-        f for f in a.flows ^ b.flows if f.src in shared and f.dst in shared
-    )
+    return frozenset(filter(shared.issuperset, a.flows ^ b.flows))
 
 
 def conflicting(a: CommonRepresentation, b: CommonRepresentation) -> bool:

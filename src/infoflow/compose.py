@@ -45,11 +45,7 @@ def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRep
     ``a`` unless ``a`` itself contains that exact flow.  Flows reaching at
     least one genuinely new interface pass through.
     """
-    survivors = {
-        f
-        for f in b.flows
-        if f in a.flows or f.src not in a.interfaces or f.dst not in a.interfaces
-    }
+    survivors = {f for f in b.flows if f in a.flows or not a.interfaces.issuperset(f)}
     return CommonRepresentation(
         interfaces=a.interfaces | b.interfaces,
         flows=a.flows | survivors,

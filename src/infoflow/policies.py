@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, ClassVar, Collection, Iterable, Mapping
 
 from .errors import SchemaError, ValidationError, strict_object
@@ -50,7 +51,14 @@ Grants = frozenset[tuple[str, Mode]]
 
 
 def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> dict[str, Grants]:
-    return {key: frozenset(pairs) for key, pairs in entries.items()}
+    """Each key's grants as a frozenset; like an interface field, a grant that
+    is not a ``(str, Mode)`` pair raises :class:`TypeError`."""
+    frozen = {key: frozenset(pairs) for key, pairs in entries.items()}
+    for grant in chain.from_iterable(frozen.values()):
+        if not (isinstance(grant, tuple) and len(grant) == 2
+                and isinstance(grant[0], str) and isinstance(grant[1], Mode)):
+            raise TypeError(f"a grant takes a str name and a Mode, got {grant!r}")
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -401,13 +409,11 @@ def _parse_names(value: Any, where: str) -> frozenset[str]:
     return frozenset(value)
 
 
-def _parse_pair(value: Any, where: str) -> tuple[str, str]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, str) for v in value)
-    ):
-        raise SchemaError(f"{where}: expected a [name, name] pair")
+def _parse_pair(value: Any, where: str, n: int) -> tuple[str, str]:
+    """Item ``n`` of the array at ``where``, whose location is built only on error."""
+    if (not isinstance(value, list) or len(value) != 2
+            or not isinstance(value[0], str) or not isinstance(value[1], str)):
+        raise SchemaError(f"{where}[{n}]: expected a [name, name] pair")
     return (value[0], value[1])
 
 
@@ -416,7 +422,7 @@ def _parse_grants(value: Any, where: str) -> Grants:
         raise SchemaError(f"{where}: expected an array of [name, mode] pairs")
     grants = set()
     for n, item in enumerate(value):
-        name, mode = _parse_pair(item, f"{where}[{n}]")
+        name, mode = _parse_pair(item, where, n)
         if mode not in ("R", "W"):
             raise SchemaError(f"{where}[{n}]: mode must be 'R' or 'W', got {mode!r}")
         grants.add((name, Mode(mode)))
@@ -432,7 +438,7 @@ def _parse_grant_map(value: Any, where: str) -> dict[str, Grants]:
 def _parse_pairs(value: Any, where: str) -> frozenset[tuple[str, str]]:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected an array of pairs")
-    return frozenset(_parse_pair(item, f"{where}[{n}]") for n, item in enumerate(value))
+    return frozenset(_parse_pair(item, where, n) for n, item in enumerate(value))
 
 
 def _parse_str_map(value: Any, where: str) -> dict[str, str]:

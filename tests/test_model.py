@@ -419,14 +419,27 @@ class TestInterning:
         g = cr({iface, other}, {Flow(iface, other)})
         assert declared_endpoints_are_shared(pickle.loads(pickle.dumps(g)))
 
+    @pytest.mark.parametrize(
+        "iface, key",
+        [(Explicit("o", Mode.R), ("explicit", "o", "R")),
+         (Implicit("a", "x"), ("implicit", "a", "x"))],
+        ids=["explicit", "implicit"],
+    )
+    def test_interned_under_its_interface_key(self, iface, key):
+        assert interface_key(iface) == key
+        assert model._interned[interface_key(iface)]() is iface
+
     def test_unused_interface_is_collected(self):
         name = "collected-" + "".join(random.choices("abcdef", k=12))
         iface = Implicit(name, "x")
+        key = interface_key(iface)
+        assert model._interned[key]() is iface
         ref = weakref.ref(iface)
         del iface
         gc.collect()
         assert ref() is None
-        assert (Implicit, name, "x") not in model._interned
+        assert key not in model._interned
+        assert all(entry() is not None for entry in model._interned.values())
 
     @pytest.mark.parametrize(
         "build",

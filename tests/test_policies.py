@@ -145,6 +145,31 @@ class TestAclValidation:
             dataclasses.replace(MATRIX_POLICY, subjects={"o1"})
 
 
+class TestGrantsAreNameModePairs:
+    """A grant's mode is checked at construction: a string mode used to pass
+    and be read as a read grant (or, for roles, as no grant at all)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": {("s", "W")}}),
+            lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": {("s", "X")}}),
+            lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": {"sW"}}),
+            lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": {("s", R, W)}}),
+            lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": {(1, R)}}),
+            lambda: CapabilityPolicy(objects={"o"}, subjects={"s"}, entries={"s": {("o", "R")}}),
+            lambda: RbacPolicy(roles={"r"}, assignments={"r": {("o", "R"), ("o", "W")}},
+                               hierarchy=set()),
+            lambda: dataclasses.replace(MATRIX_POLICY, entries={"o1": {("s1", "W")}}),
+        ],
+        ids=["acl-str-mode", "acl-unknown-mode", "acl-str-grant", "acl-triple", "acl-int-name",
+             "capabilities-str-mode", "rbac-str-modes", "replace-str-mode"],
+    )
+    def test_grant_that_is_not_a_name_mode_pair_raises_type_error(self, build):
+        with pytest.raises(TypeError, match="grant"):
+            build()
+
+
 class TestCapabilityTranslation:
     def test_matches_object_keyed_form(self):
         rng = random.Random(13)
@@ -626,6 +651,26 @@ class TestPolicyLoading:
                     "entries": {"o": [["s", "RW"]]},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "acl", "objects": ["o"], "subjects": ["s"],
+              "entries": {"o": [["s", "R"], ["s"]]}},
+             "entries.o[1]: expected a [name, name] pair"),
+            ({"kind": "capabilities", "objects": ["o"], "subjects": ["s"],
+              "entries": {"s": [["o", "R"], ["o", "W"], ["o", "X"]]}},
+             "entries.s[2]: mode must be 'R' or 'W', got 'X'"),
+            ({"kind": "rbac", "roles": ["a", "b"], "assignments": {},
+              "hierarchy": [["a", "b"], ["a", 1]]},
+             "hierarchy[1]: expected a [name, name] pair"),
+        ],
+        ids=["grant-pair", "mode", "hierarchy-pair"],
+    )
+    def test_error_names_the_item_location(self, doc, message):
+        with pytest.raises(SchemaError) as caught:
+            policy_from_dict(doc)
+        assert str(caught.value) == message
 
     def test_semantic_problem_is_a_validation_error(self):
         with pytest.raises(ValidationError):
