@@ -5,6 +5,8 @@ hierarchies) into one directed graph of permitted information flows, then
 compose, conflict-check and query those graphs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analyze import common_flows, conflicting, conflicts, diffs, one_sided_conflicts
 from .compose import append, append_strict, merge
 from .errors import SchemaError, UnknownInterfaceError, ValidationError
@@ -63,64 +65,9 @@ from .serialize import dumps, loads, to_dot
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AclPolicy",
-    "Action",
-    "And",
-    "CapabilityPolicy",
-    "CommonRepresentation",
-    "CompositionDecision",
-    "CompositionRule",
-    "Condition",
-    "ConflictCountAtMost",
-    "ConflictsComplementaryIn",
-    "EMPTY_CR",
-    "Explicit",
-    "Flow",
-    "GrantResult",
-    "Implicit",
-    "InterfaceId",
-    "LBAC_LABEL",
-    "LatticePolicy",
-    "Mode",
-    "NoConflicts",
-    "Not",
-    "RbacPolicy",
-    "RbacSemantics",
-    "SchemaError",
-    "Side",
-    "SourcePolicy",
-    "UnknownInterfaceError",
-    "ValidationError",
-    "acl_to_cr",
-    "append",
-    "append_strict",
-    "apply_rule",
-    "capability_to_cr",
-    "common_flows",
-    "component_count",
-    "conflicting",
-    "conflicts",
-    "diffs",
-    "dumps",
-    "eval_condition",
-    "format_flow",
-    "format_interface",
-    "grant",
-    "is_lively",
-    "lattice_dominates",
-    "lbac_to_cr",
-    "loads",
-    "merge",
-    "one_sided_conflicts",
-    "policy_from_dict",
-    "policy_to_cr",
-    "rbac_privileges",
-    "rbac_seniority",
-    "rbac_to_cr",
-    "reachable",
-    "rule_from_dict",
-    "to_dot",
-    "transpose_capabilities",
-    "validate",
-]
+# Every public name imported above, and nothing else; README's "Public API"
+# lists the same names.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -119,8 +119,10 @@ def parse_interface_token(token: str) -> InterfaceId:
         agent, _, label = token.partition("#")
         if agent and label:
             return Implicit(agent, label)
-    elif token.endswith((".R", ".W")) and token[:-2]:
-        return Explicit(token[:-2], Mode(token[-1]))
+    else:
+        entity, _, mode = token.rpartition(".")
+        if entity and mode in Mode._value2member_map_:
+            return Explicit(entity, Mode._value2member_map_[mode])
     raise QueryError(
         f"bad interface token {token!r}: expected entity.R, entity.W or agent#label"
     )
@@ -128,7 +130,7 @@ def parse_interface_token(token: str) -> InterfaceId:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     policy = policy_from_dict(_read_json(args.policy))
-    cr = policy_to_cr(policy, RbacSemantics(args.rbac_semantics))
+    cr = policy_to_cr(policy, RbacSemantics._value2member_map_[args.rbac_semantics])
     _emit(serialize.dumps(cr), args.output)
     return 0
 
@@ -145,7 +147,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         return 2
     crs = [_load_cr(path) for path in args.crs]
     if args.op != "rule":
-        composer = rules._COMPOSERS[rules.Action(args.op)]
+        composer = rules._COMPOSERS[rules.Action._value2member_map_[args.op]]
         _emit(serialize.dumps(functools.reduce(composer, crs)), args.output)
         return 0
 
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     translate.set_defaults(handler=_cmd_translate)
 
     composec = sub.add_parser("compose", help="fold two or more graphs left to right")
-    composec.add_argument("op", choices=["merge", "append", "append-strict", "rule"])
+    composec.add_argument("op", choices=[*(action.value for action in rules._COMPOSERS), "rule"])
     composec.add_argument("crs", nargs="+", metavar="CR", help="graph JSON files, in order")
     composec.add_argument("--rule", dest="rule_file", metavar="RULE",
                           help="rule JSON file (the rule op only, which requires it)")

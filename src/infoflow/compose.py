@@ -8,7 +8,16 @@ order.
 
 from __future__ import annotations
 
-from .model import CommonRepresentation
+from collections.abc import Set
+
+from .model import CommonRepresentation, Flow
+
+
+def _extend(a: CommonRepresentation, b: CommonRepresentation,
+            survivors: Set[Flow]) -> CommonRepresentation:
+    """The composite every operation builds: all of ``a``, ``b``'s interfaces,
+    and those flows of ``b`` that the operation lets survive."""
+    return CommonRepresentation(interfaces=a.interfaces | b.interfaces, flows=a.flows | survivors)
 
 
 def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -17,10 +26,7 @@ def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentat
     Commutative, associative and idempotent, with the empty graph as
     identity.
     """
-    return CommonRepresentation(
-        interfaces=a.interfaces | b.interfaces,
-        flows=a.flows | b.flows,
-    )
+    return _extend(a, b, b.flows)
 
 
 def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -29,13 +35,9 @@ def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresenta
     Interfaces are unioned.  All of a's flows survive; a flow of b survives
     only when neither it nor its inverse appears in a's flows.
     """
-    survivors = {
+    return _extend(a, b, {
         f for f in b.flows if f not in a.flows and (f.dst, f.src) not in a.flows
-    }
-    return CommonRepresentation(
-        interfaces=a.interfaces | b.interfaces,
-        flows=a.flows | survivors,
-    )
+    })
 
 
 def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -45,8 +47,4 @@ def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRep
     ``a`` unless ``a`` itself contains that exact flow.  Flows reaching at
     least one genuinely new interface pass through.
     """
-    survivors = {f for f in b.flows if f in a.flows or not a.interfaces.issuperset(f)}
-    return CommonRepresentation(
-        interfaces=a.interfaces | b.interfaces,
-        flows=a.flows | survivors,
-    )
+    return _extend(a, b, {f for f in b.flows if f in a.flows or not a.interfaces.issuperset(f)})

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the strict-object check
-every document loader uses."""
+"""Exception types shared across the package, and the checks every
+document loader shares: a strict object, and a value from a fixed set."""
 
-from collections.abc import Set
-from typing import Any
+from collections.abc import Mapping, Set
+from typing import Any, TypeVar
+
+_T = TypeVar("_T")
 
 
 class SchemaError(ValueError):
@@ -31,3 +33,12 @@ def strict_object(obj: Any, required: Set[str], where: str) -> None:
     unknown = obj.keys() - required
     if unknown:
         raise SchemaError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+
+
+def one_of(choices: Mapping[str, _T], value: Any, what: str) -> _T:
+    """The choice a document ``value`` names.  Any other value raises
+    :class:`SchemaError`: ``what`` must be one of the names, listed in order."""
+    if isinstance(value, str) and value in choices:
+        return choices[value]
+    *rest, last = map(repr, choices)
+    raise SchemaError(f"{what} must be {', '.join(rest)} or {last}, got {value!r}")

@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, ClassVar, Collection, Iterable, Mapping
 
-from .errors import SchemaError, ValidationError, strict_object
+from .errors import SchemaError, ValidationError, one_of, strict_object
 from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _is_utf8
 
 # Label carried by the implicit interfaces a lattice policy produces.
@@ -422,10 +422,11 @@ def _parse_grants(value: Any, where: str) -> Grants:
         raise SchemaError(f"{where}: expected an array of [name, mode] pairs")
     grants = set()
     for n, item in enumerate(value):
-        name, mode = _parse_pair(item, where, n)
-        if mode not in ("R", "W"):
-            raise SchemaError(f"{where}[{n}]: mode must be 'R' or 'W', got {mode!r}")
-        grants.add((name, Mode(mode)))
+        name, text = _parse_pair(item, where, n)
+        mode = Mode._value2member_map_.get(text)
+        if mode is None:  # the location is formatted only for the error
+            mode = one_of(Mode._value2member_map_, text, f"{where}[{n}]: mode")
+        grants.add((name, mode))
     return frozenset(grants)
 
 
@@ -455,12 +456,7 @@ def policy_from_dict(obj: Any) -> SourcePolicy:
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"policy: expected an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
-    if family is None:
-        raise SchemaError(
-            f"policy: kind must be 'acl', 'capabilities', 'lbac' or 'rbac', got {kind!r}"
-        )
+    family = one_of(_FAMILIES, obj.get("kind"), "policy: kind")
     strict_object(obj, {"kind", *family.fields}, "policy")
     return family.cls(**{name: parse(obj[name], name) for name, parse in family.fields.items()})
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import analyze, compose
-from .errors import SchemaError, ValidationError, strict_object
+from .errors import SchemaError, ValidationError, one_of, strict_object
 from .model import CommonRepresentation, Flow
 
 MAX_CONDITION_DEPTH = 16
@@ -168,11 +168,8 @@ def apply_rule(rule: CompositionRule, a: CommonRepresentation,
     """Evaluate the rule's condition and perform the selected action."""
     evidence = analyze.conflicts(a, b)
     action = rule.then_action if _eval(rule.condition, a, b, evidence) else rule.else_action
-    if action is Action.REJECT:
-        return CompositionDecision(action_taken=action, result=None, evidence=evidence)
-    return CompositionDecision(
-        action_taken=action, result=_COMPOSERS[action](a, b), evidence=evidence
-    )
+    result = None if action is Action.REJECT else _COMPOSERS[action](a, b)
+    return CompositionDecision(action_taken=action, result=result, evidence=evidence)
 
 
 # -- rule file schema --------------------------------------------------------
@@ -188,10 +185,8 @@ def condition_from_dict(obj: Any, depth: int = 0) -> Condition:
         return NoConflicts()
     if tag == "conflicts-complementary-in":
         strict_object(obj, {"type", "side"}, "condition")
-        side = obj["side"]
-        if side not in ("first", "second"):
-            raise SchemaError(f"condition: side must be 'first' or 'second', got {side!r}")
-        return ConflictsComplementaryIn(Side(side))
+        return ConflictsComplementaryIn(
+            one_of(Side._value2member_map_, obj["side"], "condition: side"))
     if tag == "conflict-count-at-most":
         strict_object(obj, {"type", "n"}, "condition")
         n = obj["n"]
@@ -210,20 +205,11 @@ def condition_from_dict(obj: Any, depth: int = 0) -> Condition:
     raise SchemaError(f"condition: unknown type {tag!r}")
 
 
-def _parse_action(value: Any, where: str) -> Action:
-    try:
-        return Action(value)
-    except ValueError:
-        raise SchemaError(
-            f"{where}: expected 'merge', 'append', 'append-strict' or 'reject', got {value!r}"
-        ) from None
-
-
 def rule_from_dict(obj: Any) -> CompositionRule:
     """Parse ``{"condition": {...}, "then": "merge", "else": "append"}``."""
     strict_object(obj, {"condition", "then", "else"}, "rule")
     return CompositionRule(
         condition=condition_from_dict(obj["condition"]),
-        then_action=_parse_action(obj["then"], "rule.then"),
-        else_action=_parse_action(obj["else"], "rule.else"),
+        then_action=one_of(Action._value2member_map_, obj["then"], "rule.then: action"),
+        else_action=one_of(Action._value2member_map_, obj["else"], "rule.else: action"),
     )

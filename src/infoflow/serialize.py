@@ -47,7 +47,7 @@ import json
 from json.encoder import encode_basestring
 from typing import Any, Iterable
 
-from .errors import SchemaError, ValidationError, strict_object
+from .errors import SchemaError, ValidationError, one_of, strict_object
 from .model import (
     CommonRepresentation,
     Explicit,
@@ -61,12 +61,12 @@ from .model import (
     interface_key,
 )
 
-# The document fields of each interface kind, in output order; they line up
-# with the parts of its :func:`interface_key`.
-_FIELDS = {
-    "explicit": ("kind", "entity", "mode"),
-    "implicit": ("kind", "agent", "label"),
-}
+# Each interface kind's class, by the tag that starts its document and its
+# :func:`interface_key`.
+_KINDS = {"explicit": Explicit, "implicit": Implicit}
+# The document fields of each kind, in output order; they line up with the
+# parts of its :func:`interface_key`.
+_FIELDS = {kind: ("kind", *cls.__slots__) for kind, cls in _KINDS.items()}
 _FIELD_SETS = {kind: frozenset(fields) for kind, fields in _FIELDS.items()}
 
 
@@ -81,29 +81,21 @@ def _key_to_dict(key: InterfaceKey) -> dict[str, str]:
     return dict(zip(_FIELDS[key[0]], key))
 
 
-def _require_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: expected a string, got {type(value).__name__}")
-    return value
-
-
 def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "explicit":
-        strict_object(obj, _FIELD_SETS[kind], where)
-        mode = obj["mode"]
-        if mode not in ("R", "W"):
-            raise SchemaError(f"{where}: mode must be 'R' or 'W', got {mode!r}")
-        return Explicit(_require_str(obj["entity"], f"{where}.entity"), Mode(mode))
-    if kind == "implicit":
-        strict_object(obj, _FIELD_SETS[kind], where)
-        return Implicit(
-            _require_str(obj["agent"], f"{where}.agent"),
-            _require_str(obj["label"], f"{where}.label"),
-        )
-    raise SchemaError(f"{where}: kind must be 'explicit' or 'implicit', got {kind!r}")
+    cls = one_of(_KINDS, kind, f"{where}: kind")
+    strict_object(obj, _FIELD_SETS[kind], where)
+    values = []
+    for name in cls.__slots__:
+        value = obj[name]
+        if name == "mode":
+            value = one_of(Mode._value2member_map_, value, f"{where}: mode")
+        elif not isinstance(value, str):
+            raise SchemaError(f"{where}.{name}: expected a string, got {type(value).__name__}")
+        values.append(value)
+    return cls(*values)
 
 
 def flow_from_dict(obj: Any, where: str = "flow") -> Flow:
@@ -177,7 +169,7 @@ def decode_json(text: str, source: str = "") -> Any:
     prefix = f"{source}: " if source else ""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"{prefix}invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"{prefix}invalid JSON: nested too deeply to decode") from None

@@ -3,8 +3,8 @@
 Nothing here may call into infoflow's own algorithms: components are counted
 with union-find (the library uses graph search), closures come from recursive DFS
 started afresh at every node (the library finishes nodes in post-order and
-reuses their finished sets, without recursion), and permission flows are
-enumerated triple by triple.
+reuses their finished sets, without recursion), permission flows are
+enumerated triple by triple, and composites are decided one flow at a time.
 """
 
 from infoflow import Explicit, Flow, Mode
@@ -96,3 +96,23 @@ def enumerate_listing_flows(objects, subjects, granted):
             if granted(obj, subj, Mode.R):
                 expected.add(Flow(Explicit(obj, Mode.R), Explicit(subj, Mode.W)))
     return expected
+
+
+def composite_by_flow(op, a, b):
+    """The interfaces and flows of ``op(a, b)``, ``op`` being "merge", "append"
+    or "append_strict", from the README's definitions: every interface and
+    every flow of a survive, and each flow of b is judged on its own."""
+    kept = set(a.flows)
+    for f in b.flows:
+        in_a = f in a.flows
+        inverse_in_a = any(g.src == f.dst and g.dst == f.src for g in a.flows)
+        between_a_interfaces = f.src in a.interfaces and f.dst in a.interfaces
+        if op == "merge":
+            survives = True
+        elif op == "append":  # neither the flow nor its inverse is in a
+            survives = not in_a and not inverse_in_a
+        else:  # as append, and no new flow between two interfaces a declares
+            survives = in_a or (not inverse_in_a and not between_a_interfaces)
+        if survives:
+            kept.add(f)
+    return set(a.interfaces) | set(b.interfaces), kept

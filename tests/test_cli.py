@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -479,6 +480,30 @@ class TestDeepNesting:
             loads(DEEP)
 
 
+# More digits than CPython converts to an int by default; json.dumps of such
+# an int raises too, so the document is written as text.
+LONG_INT = "[" + "1" * 5000 + "]"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["translate", "{long}"],
+        ["check", "{long}", "--lively"],
+        ["compose", "rule", "{graph}", "{graph}", "--rule", "{long}"],
+    ],
+    ids=["policy", "check", "rule"],
+)
+def test_integer_too_long_to_convert_exits_2(tmp_path, capsys, argv):
+    files = {"long": write(tmp_path, "long.json", LONG_INT),
+             "graph": write_cr(tmp_path, "graph.json", EMPTY_CR)}
+    code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 2 and out == ""
+    assert f"error: {files['long']}: invalid JSON: " in err and "Traceback" not in err
+
+
 class TestRoundTrip:
     def test_random_graphs_survive_save_load(self, tmp_path):
         rng = random.Random(99)
@@ -491,6 +516,13 @@ class TestRoundTrip:
 
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_compose_ops_are_the_actions_that_compose_and_rule():
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    op = next(action for action in commands.choices["compose"]._actions if action.dest == "op")
+    assert op.choices == ["merge", "append", "append-strict", "rule"]
 
 
 def test_interface_token_parsing():

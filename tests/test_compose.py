@@ -1,6 +1,7 @@
 import itertools
 from functools import reduce
 
+import pytest
 from hypothesis import given
 
 from infoflow import (
@@ -14,6 +15,7 @@ from infoflow import (
     validate,
 )
 from crgen import graphs
+from oracles import composite_by_flow
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
@@ -104,6 +106,16 @@ class TestAppendStrict:
     @given(graphs(), graphs())
     def test_preserves_well_formedness(self, a, b):
         assert validate(append_strict(a, b)) == []
+
+
+class TestAgainstOracle:
+    """Each composite equals the flow-by-flow reading of its definition."""
+
+    @pytest.mark.parametrize("op", [merge, append, append_strict], ids=lambda op: op.__name__)
+    @given(graphs(), graphs())
+    def test_composite_is_the_flow_by_flow_result(self, op, a, b):
+        out = op(a, b)
+        assert (out.interfaces, out.flows) == composite_by_flow(op.__name__, a, b)
 
 
 class TestFolds:

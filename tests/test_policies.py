@@ -622,8 +622,11 @@ class TestPolicyLoading:
         assert rbac_privileges(policy, "a") == frozenset({("o1", R)})
 
     def test_unknown_kind(self):
-        with pytest.raises(SchemaError, match="kind"):
+        with pytest.raises(SchemaError) as caught:
             policy_from_dict({"kind": "xacml"})
+        assert str(caught.value) == (
+            "policy: kind must be 'acl', 'capabilities', 'lbac' or 'rbac', got 'xacml'"
+        )
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError, match="surprise"):

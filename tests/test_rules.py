@@ -17,6 +17,7 @@ from infoflow import (
     Side,
     ValidationError,
     append,
+    append_strict,
     apply_rule,
     conflicts,
     eval_condition,
@@ -156,6 +157,19 @@ class TestApplyRule:
         second = apply_rule(COMPLEMENTARY_RULE, a, b)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "action, composer",
+        [(Action.MERGE, merge), (Action.APPEND, append), (Action.APPEND_STRICT, append_strict)],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    @given(graphs(), graphs())
+    def test_result_is_the_composite_the_action_names(self, action, composer, a, b):
+        # No two graphs have more conflicts than flows, so this condition holds.
+        always = ConflictCountAtMost(len(a.flows) + len(b.flows))
+        decision = apply_rule(CompositionRule(always, action, Action.REJECT), a, b)
+        assert decision.action_taken is action
+        assert decision.result == composer(a, b)
+
     @given(graphs(), graphs())
     def test_evidence_matches_analyze(self, a, b):
         assert apply_rule(COMPLEMENTARY_RULE, a, b).evidence == conflicts(a, b)
@@ -212,8 +226,9 @@ class TestRuleLoading:
             condition_from_dict({"type": "no-conflicts", "extra": 1})
 
     def test_bad_side(self):
-        with pytest.raises(SchemaError, match="side"):
+        with pytest.raises(SchemaError) as caught:
             condition_from_dict({"type": "conflicts-complementary-in", "side": "third"})
+        assert str(caught.value) == "condition: side must be 'first' or 'second', got 'third'"
 
     def test_bool_is_not_a_count(self):
         with pytest.raises(SchemaError, match="n"):
@@ -237,10 +252,14 @@ class TestRuleLoading:
             rule_from_dict({"condition": {"type": "no-conflicts"}, "then": "merge"})
 
     def test_bad_action(self):
-        with pytest.raises(SchemaError, match="then"):
+        with pytest.raises(SchemaError) as caught:
             rule_from_dict(
                 {"condition": {"type": "no-conflicts"}, "then": "explode", "else": "merge"}
             )
+        assert str(caught.value) == (
+            "rule.then: action must be 'merge', 'append', 'append-strict' or 'reject', "
+            "got 'explode'"
+        )
 
     def test_non_discriminating_rule_is_a_validation_error(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -137,6 +138,13 @@ def test_loads_rejects_bad_json():
         loads("{not json")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+def test_loads_rejects_an_integer_too_long_to_convert():
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        loads("[" + "1" * 5000 + "]")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -154,6 +162,30 @@ def test_loads_rejects_bad_json():
 def test_schema_violations_rejected(doc):
     with pytest.raises(SchemaError):
         cr_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "iface, message",
+    [
+        ({"kind": "nope", "entity": "a", "mode": "R"},
+         "interfaces[0]: kind must be 'explicit' or 'implicit', got 'nope'"),
+        ({"kind": ["explicit"], "entity": "a", "mode": "R"},
+         "interfaces[0]: kind must be 'explicit' or 'implicit', got ['explicit']"),
+        ({"kind": "explicit", "entity": "a", "mode": "X"},
+         "interfaces[0]: mode must be 'R' or 'W', got 'X'"),
+        ({"kind": "explicit", "entity": "a", "mode": 1},
+         "interfaces[0]: mode must be 'R' or 'W', got 1"),
+        ({"kind": "explicit", "entity": None, "mode": "R"},
+         "interfaces[0].entity: expected a string, got NoneType"),
+        ({"kind": "implicit", "agent": "a", "label": 3},
+         "interfaces[0].label: expected a string, got int"),
+    ],
+    ids=["kind", "kind-not-a-string", "mode", "mode-not-a-string", "entity", "label"],
+)
+def test_schema_error_message(iface, message):
+    with pytest.raises(SchemaError) as caught:
+        cr_from_dict({"interfaces": [iface], "flows": []})
+    assert str(caught.value) == message
 
 
 def test_self_flow_in_document_is_a_validation_error():
