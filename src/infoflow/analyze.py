@@ -12,9 +12,22 @@ from .model import CommonRepresentation, Flow
 
 
 def conflicts(a: CommonRepresentation, b: CommonRepresentation) -> frozenset[Flow]:
-    """Flows over shared interfaces that exactly one graph permits."""
+    """Flows over shared interfaces that exactly one graph permits.
+
+    Only what the shared interfaces touch is read: the flows of the graph
+    with fewer flows, and the other graph's flows out of the shared
+    interfaces, from its query index.  That fills the other graph's index
+    if no query has yet, and it stays cached on that value.
+    """
+    small, large = (a, b) if len(a.flows) <= len(b.flows) else (b, a)
     shared = a.interfaces & b.interfaces
-    return frozenset(filter(shared.issuperset, a.flows ^ b.flows))
+    found = set(filter(shared.issuperset, small.flows)) - large.flows
+    rows, small_flows = large._successors, small.flows
+    for src in shared:
+        for dst in rows.get(src, ()):
+            if dst in shared and (src, dst) not in small_flows:
+                found.add(Flow(src, dst))
+    return frozenset(found)
 
 
 def conflicting(a: CommonRepresentation, b: CommonRepresentation) -> bool:

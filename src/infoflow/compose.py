@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 from collections.abc import Set
+from itertools import filterfalse
 
 from .model import CommonRepresentation, Flow
 
@@ -16,8 +17,17 @@ from .model import CommonRepresentation, Flow
 def _extend(a: CommonRepresentation, b: CommonRepresentation,
             survivors: Set[Flow]) -> CommonRepresentation:
     """The composite every operation builds: all of ``a``, ``b``'s interfaces,
-    and those flows of ``b`` that the operation lets survive."""
-    return CommonRepresentation(interfaces=a.interfaces | b.interfaces, flows=a.flows | survivors)
+    and the ``survivors``, those flows of ``b`` outside ``a`` that the
+    operation keeps.  It takes over the part of ``a``'s query index that is
+    filled."""
+    out = CommonRepresentation(interfaces=a.interfaces | b.interfaces, flows=a.flows | survivors)
+    out._inherit_index(a, b, survivors)
+    return out
+
+
+def _append_survivors(a: CommonRepresentation, b: CommonRepresentation) -> set[Flow]:
+    """The flows of b such that neither they nor their inverses are in a."""
+    return {f for f in b.flows if f not in a.flows and (f.dst, f.src) not in a.flows}
 
 
 def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -26,7 +36,7 @@ def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentat
     Commutative, associative and idempotent, with the empty graph as
     identity.
     """
-    return _extend(a, b, b.flows)
+    return _extend(a, b, b.flows - a.flows)
 
 
 def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -35,16 +45,15 @@ def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresenta
     Interfaces are unioned.  All of a's flows survive; a flow of b survives
     only when neither it nor its inverse appears in a's flows.
     """
-    return _extend(a, b, {
-        f for f in b.flows if f not in a.flows and (f.dst, f.src) not in a.flows
-    })
+    return _extend(a, b, _append_survivors(a, b))
 
 
 def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
     """Stricter priority composite: no new flows between a's own interfaces.
 
-    A flow of b is dropped whenever both of its endpoints already belong to
-    ``a`` unless ``a`` itself contains that exact flow.  Flows reaching at
-    least one genuinely new interface pass through.
+    Of the flows of b that :func:`append` keeps, it additionally drops every
+    one whose endpoints both belong to ``a``, so only flows reaching at
+    least one interface ``a`` does not declare pass through.  It is never
+    more permissive than :func:`append`.
     """
-    return _extend(a, b, {f for f in b.flows if f in a.flows or not a.interfaces.issuperset(f)})
+    return _extend(a, b, set(filterfalse(a.interfaces.issuperset, _append_survivors(a, b))))

@@ -23,12 +23,17 @@ Constructors check field types: an ``Explicit`` needs a ``str`` entity and
 a :class:`Mode`, an ``Implicit`` two ``str`` fields, and anything else
 raises :class:`TypeError`.
 
-The one piece of state a graph gains later is a derived index (each
-flow source's successor list, availability component count), filled on the
-first ``reachable``, ``is_lively`` or ``component_count`` query and reused
-by every later query on the same value.  It is not a field, so equality,
-hashing and serialized output never see it; two threads racing to fill it
-compute the same value, which is harmless.
+The one piece of state a graph gains is a derived index (each flow
+source's successor list, the availability partition and its component
+count), reused by every query on the same value.  A translation, a loaded
+graph or a composite whose first operand has no index fills it on its first
+``reachable``, ``is_lively`` or ``component_count`` query.  A composite
+whose first operand has filled it is built with it: the operand's rows
+plus the new flows, and its partition with their complementary pairs
+joined in.  An index is written only while it is filled, never after, and
+an operand's index is only read.  It is not a field, so equality, hashing
+and serialized output never see it; two threads racing to fill it compute
+the same value, which is harmless.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import enum
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
+from collections.abc import Iterable, Set
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -260,31 +266,80 @@ class CommonRepresentation:
     def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:
         """The destinations of each flow source, undeclared ones included;
         a vertex with no outgoing flow has no entry."""
-        successors: dict[InterfaceId, list[InterfaceId]] = {}
-        for src, dst in self.flows:
-            successors.setdefault(src, []).append(dst)
-        return successors
+        return _rows(self.flows)
+
+    @cached_property
+    def _partition(self) -> dict[InterfaceId, InterfaceId]:
+        """The availability partition as union-find parent links: every
+        endpoint of a complementary pair, declared or not, is in one class
+        with the other.  A class's root has no entry, and the root of a
+        class that holds a declared interface is declared."""
+        flows = self.flows
+        return _unite({}, self.interfaces, ((x, y) for x, y in flows if (y, x) in flows))
 
     @cached_property
     def _component_count(self) -> int:
-        """Connected components of the availability graph over the declared
-        interfaces; an undeclared endpoint joins components but starts none."""
-        successors, flows = self._successors, self.flows
-        seen: set[InterfaceId] = set()
-        count = 0
-        for start in self.interfaces:
-            if start in seen:
-                continue
-            count += 1
-            seen.add(start)
-            stack = [start]
-            while stack:
-                here = stack.pop()
-                for nxt in successors.get(here, ()):
-                    if nxt not in seen and (nxt, here) in flows:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return count
+        """The partition's classes that hold a declared interface, which are
+        those whose root is declared; an undeclared endpoint joins
+        components but starts none."""
+        return len(self.interfaces.difference(self._partition))
+
+    def _inherit_index(self, a: CommonRepresentation, b: CommonRepresentation,
+                       added: Iterable[Flow]) -> None:
+        """Fill this graph's index from the part of ``a``'s that is filled,
+        for the composite of ``a`` and ``b`` that holds all of ``a``, ``b``'s
+        interfaces, and the flows ``added``, none of them in ``a``.  Only
+        rows that gain a flow are copied, and ``a``'s index is only read.
+        Call it before the graph is handed out: a graph in use never has its
+        index written again."""
+        filled = a.__dict__
+        if "_successors" in filled:
+            successors = filled["_successors"].copy()
+            for src, dsts in _rows(added).items():
+                successors[src] = successors.get(src, []) + dsts
+            self.__dict__["_successors"] = successors
+        if "_partition" in filled:
+            parent, declared, flows = filled["_partition"].copy(), self.interfaces, self.flows
+            for iface in b.interfaces - a.interfaces:
+                # An endpoint ``a`` left undeclared, now declared, in a class
+                # whose root is undeclared: it takes the root's place.
+                if iface in parent and (root := _find(parent, iface)) not in declared:
+                    parent[root] = iface
+                    del parent[iface]
+            self.__dict__["_partition"] = _unite(
+                parent, declared, ((x, y) for x, y in added if (y, x) in flows))
+
+
+def _rows(flows: Iterable[Flow]) -> dict[InterfaceId, list[InterfaceId]]:
+    """The destinations of ``flows`` grouped by source."""
+    rows: dict[InterfaceId, list[InterfaceId]] = {}
+    for src, dst in flows:
+        rows.setdefault(src, []).append(dst)
+    return rows
+
+
+def _find(parent: dict[InterfaceId, InterfaceId], vertex: InterfaceId) -> InterfaceId:
+    """The root of ``vertex``'s class.  It points the path it walked at the
+    root, so ``parent`` must belong to a graph not yet handed out."""
+    root = vertex
+    while root in parent:
+        root = parent[root]
+    while vertex is not root:
+        parent[vertex], vertex = root, parent[vertex]
+    return root
+
+
+def _unite(parent: dict[InterfaceId, InterfaceId], declared: Set[InterfaceId],
+           pairs: Iterable[tuple[InterfaceId, InterfaceId]]) -> dict[InterfaceId, InterfaceId]:
+    """Join the classes of each pair's endpoints in ``parent``, keeping a
+    declared root wherever a class holds a declared interface."""
+    for x, y in pairs:
+        root, other = _find(parent, x), _find(parent, y)
+        if root is not other:
+            if root not in declared:
+                root, other = other, root
+            parent[other] = root
+    return parent
 
 
 EMPTY_CR = CommonRepresentation()

@@ -49,6 +49,22 @@ def graphs(draw, pool=POOL, max_interfaces=8):
     )
 
 
+@st.composite
+def open_graphs(draw, interfaces=st.sampled_from(POOL)):
+    """Graphs with some flow endpoints left undeclared."""
+    declared = draw(st.lists(interfaces, max_size=6))
+    pool = declared + draw(st.lists(interfaces, max_size=3))
+    if not pool:
+        return CommonRepresentation()
+    ends = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=10))
+    return CommonRepresentation(declared, {Flow(a, b) for a, b in pairs if a != b})
+
+
+# Valid graphs, and graphs with undeclared flow endpoints.
+ANY_GRAPHS = graphs() | open_graphs()
+
+
 def random_listing_entries(rng, keys, values, density=0.4):
     entries = {}
     for key in keys:

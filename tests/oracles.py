@@ -1,10 +1,12 @@
 """Independent reference implementations used only to cross-check the library.
 
 Nothing here may call into infoflow's own algorithms: components are counted
-with union-find (the library uses graph search), closures come from recursive DFS
-started afresh at every node (the library finishes nodes in post-order and
-reuses their finished sets, without recursion), permission flows are
-enumerated triple by triple, and composites are decided one flow at a time.
+by a union-find of their own over a pairwise scan for complementary flows,
+closures come from recursive DFS started afresh at every node (the library
+finishes nodes in post-order and reuses their finished sets, without
+recursion), permission flows are enumerated triple by triple, composites are
+decided one flow at a time, and conflicts are filtered from the whole
+symmetric difference.
 """
 
 from infoflow import Explicit, Flow, Mode
@@ -28,12 +30,14 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-def union_find_component_count(vertices, edges):
+def union_find_component_count(vertices, edges, counted=None):
+    """Classes of ``vertices`` joined by ``edges`` that hold a vertex of
+    ``counted``, every class when it is None."""
     uf = UnionFind(vertices)
     for edge in edges:
         a, b = tuple(edge)
         uf.union(a, b)
-    return len({uf.find(v) for v in vertices})
+    return len({uf.find(v) for v in (vertices if counted is None else counted)})
 
 
 def pairwise_complementary_edges(flows):
@@ -116,3 +120,9 @@ def composite_by_flow(op, a, b):
         if survives:
             kept.add(f)
     return set(a.interfaces) | set(b.interfaces), kept
+
+
+def conflicts_by_definition(a, b):
+    """The flows exactly one of a and b permits whose endpoints both declare."""
+    shared = a.interfaces & b.interfaces
+    return frozenset(filter(shared.issuperset, a.flows ^ b.flows))

@@ -11,7 +11,8 @@ from infoflow import (
     merge,
     one_sided_conflicts,
 )
-from crgen import graphs
+from crgen import ANY_GRAPHS, graphs
+from oracles import conflicts_by_definition
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
@@ -82,6 +83,16 @@ class TestCommonAndDiffs:
 
 
 class TestProperties:
+    @given(ANY_GRAPHS, ANY_GRAPHS)
+    def test_conflicts_match_the_definition(self, a, b):
+        """Both operand orders, so either graph is the one with fewer flows,
+        over valid graphs and graphs with undeclared endpoints."""
+        want = conflicts_by_definition(a, b)
+        for first, second in ((a, b), (b, a)):
+            got = conflicts(first, second)
+            assert got == want
+            assert all(isinstance(f, Flow) for f in got)
+
     @given(graphs(), graphs())
     def test_conflicts_symmetric(self, a, b):
         assert conflicts(a, b) == conflicts(b, a)

@@ -34,7 +34,7 @@ from infoflow import (
 )
 from infoflow import model
 from infoflow.model import interface_key
-from crgen import POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac
+from crgen import ANY_GRAPHS, POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac
 from oracles import (
     UnionFind,
     dfs_reachable,
@@ -268,6 +268,7 @@ class TestReachable:
 
 
 FIELDS = {"interfaces", "flows"}
+INDEX = {"_successors", "_partition"}
 
 
 class TestIndex:
@@ -330,34 +331,136 @@ LATTICE = LatticePolicy(
 )
 
 
-def queried_operands(rng):
-    """Two random graphs whose indexes are already filled."""
-    a, b = random_cr(rng), random_cr(rng)
-    is_lively(a), is_lively(b)
-    return a, b
+def query(g):
+    """Fill the whole index of ``g`` through its queries."""
+    is_lively(g)
+    for src in g.interfaces:
+        for dst in g.interfaces:
+            reachable(g, src, dst)
+    return g
 
 
-# Graphs as the library hands them out: translations and composites.
-BUILDERS = {
+TRANSLATIONS = {
     "acl": lambda rng: policy_to_cr(random_acl(rng)),
     "capabilities": lambda rng: policy_to_cr(random_capabilities(rng)),
     "lbac": lambda rng: policy_to_cr(LATTICE),
     "rbac": lambda rng: policy_to_cr(random_rbac(rng), RbacSemantics.CROSS_OBJECT),
-    "merge": lambda rng: merge(*queried_operands(rng)),
-    "append": lambda rng: append(*queried_operands(rng)),
-    "append_strict": lambda rng: append_strict(*queried_operands(rng)),
 }
+COMPOSERS = {"merge": merge, "append": append, "append_strict": append_strict}
+BUILDERS = [*TRANSLATIONS, *COMPOSERS]
+
+
+def built(name, rng, queried):
+    """A graph as the library hands it out: a translation, or a composite of
+    two random graphs whose first operand is ``queried`` or not."""
+    if name in TRANSLATIONS:
+        return TRANSLATIONS[name](rng)
+    a, b = random_cr(rng), random_cr(rng)
+    return COMPOSERS[name](query(a) if queried else a, b)
 
 
 @pytest.mark.parametrize("name", BUILDERS)
 def test_index_is_built_on_first_query_only(name):
-    g = BUILDERS[name](random.Random(7))
+    """A translation, or a composite of unqueried operands, has no index
+    until its first query."""
+    g = built(name, random.Random(7), queried=False)
     assert set(vars(g)) == FIELDS
     grant(A, B, g)
     validate(g)
     assert set(vars(g)) == FIELDS
     is_lively(g)
     assert set(vars(g)) > FIELDS
+
+
+@pytest.mark.parametrize("name", COMPOSERS)
+def test_composite_of_an_indexed_operand_carries_an_index(name):
+    rng = random.Random(7)
+    a, b = query(random_cr(rng)), random_cr(rng)
+    assert set(vars(a)) >= INDEX
+    g = COMPOSERS[name](a, b)
+    assert set(vars(g)) == FIELDS | INDEX
+    assert component_count(g) == oracle_component_count(g)
+
+
+# Parts of the index to fill on a graph before it joins the next one.
+FILLS = [(), ("_successors",), ("_partition",), ("_successors", "_partition")]
+
+
+def index_snapshot(g, part):
+    """A copy of one filled part of the index of ``g``, rows kept in order."""
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in vars(g)[part].items()}
+
+
+@pytest.mark.parametrize("name", COMPOSERS)
+@given(ANY_GRAPHS, st.sampled_from(FILLS),
+       st.lists(st.tuples(ANY_GRAPHS, st.sampled_from(FILLS)), max_size=10))
+def test_inherited_index_equals_a_fresh_one(name, g, fill, joins):
+    """In a fold of queried and unqueried operands, each composite carries
+    the parts of the index its first operand had filled, and they give the
+    answers of a fresh index and of the oracles."""
+    for part in fill:
+        getattr(g, part)
+    for b, fill in joins:
+        a, inherited = g, INDEX & set(vars(g))
+        before = {part: index_snapshot(a, part) for part in inherited}
+        g = COMPOSERS[name](a, b)
+        assert set(vars(g)) - FIELDS == inherited
+        assert {part: index_snapshot(a, part) for part in inherited} == before
+        if "_successors" in inherited:
+            rows = g._successors
+            assert all(len(set(row)) == len(row) for row in rows.values())
+            fresh = CommonRepresentation(g.interfaces, g.flows)._successors
+            assert {src: set(row) for src, row in rows.items()} == {
+                src: set(row) for src, row in fresh.items()}
+        view = copy.copy(g)  # shares g's index; queries on it fill only its own
+        endpoints = g.interfaces.union(*g.flows)
+        assert component_count(view) == union_find_component_count(
+            endpoints, pairwise_complementary_edges(g.flows), g.interfaces)
+        for src in g.interfaces:
+            for dst in g.interfaces:
+                assert reachable(view, src, dst) == dfs_reachable(g.flows, src, dst)
+        for part in fill:
+            getattr(g, part)
+
+
+def answers(g, count, reach):
+    ordered = sorted(g.interfaces, key=interface_key)
+    return count(g), [reach(g, src, dst) for src in ordered for dst in ordered]
+
+
+def test_threads_querying_one_composite_get_the_oracle_answers():
+    workers, rounds = 4, 50
+    rng = random.Random(5)
+    # The first operands have only their partition filled, so the threads
+    # read an inherited partition and race to fill the successor rows.
+    composites = []
+    for _ in range(rounds):
+        a = random_cr(rng)
+        is_lively(a)
+        composites.append(append(a, random_cr(rng)))
+    expected = [answers(g, oracle_component_count, lambda g, s, d: dfs_reachable(g.flows, s, d))
+                for g in composites]
+    barrier = threading.Barrier(workers, timeout=10)
+    got = [[None] * workers for _ in range(rounds)]
+
+    def query_all(slot):
+        for n, g in enumerate(composites):
+            barrier.wait()
+            got[n][slot] = answers(g, component_count, reachable)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query_all, args=(slot,)) for slot in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want] * workers for want in expected]
 
 
 def declared_endpoints_are_shared(g):
@@ -378,7 +481,7 @@ class TestInterning:
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_flow_endpoints_are_the_declared_objects(self, name):
-        g = BUILDERS[name](random.Random(11))
+        g = built(name, random.Random(11), queried=True)
         assert g.flows
         assert declared_endpoints_are_shared(g)
         loaded = loads(dumps(g))

@@ -17,7 +17,7 @@ from infoflow import (
     to_dot,
 )
 from infoflow.serialize import cr_from_dict, cr_to_dict
-from crgen import graphs
+from crgen import graphs, open_graphs
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
@@ -34,24 +34,12 @@ INTERFACES = st.builds(Explicit, AWKWARD, st.sampled_from(Mode)) | st.builds(
 )
 
 
-@st.composite
-def awkward_graphs(draw):
-    """Graphs over awkward names, with some flow endpoints left undeclared."""
-    declared = draw(st.lists(INTERFACES, max_size=6))
-    pool = declared + draw(st.lists(INTERFACES, max_size=3))
-    if not pool:
-        return CommonRepresentation()
-    ends = st.sampled_from(pool)
-    pairs = draw(st.lists(st.tuples(ends, ends), max_size=10))
-    return CommonRepresentation(declared, {Flow(a, b) for a, b in pairs if a != b})
-
-
 def reference_dumps(g):
     """The indented standard-library encoding that defines the canonical layout."""
     return json.dumps(cr_to_dict(g), indent=2, ensure_ascii=False) + "\n"
 
 
-@given(awkward_graphs())
+@given(open_graphs(INTERFACES))
 @example(CommonRepresentation())
 def test_dumps_is_byte_identical_to_the_reference_encoder(g):
     assert dumps(g) == reference_dumps(g)
