@@ -25,7 +25,6 @@ from .model import (
     grant,
     is_lively,
     reachable,
-    validate,
 )
 from .policies import (
     LBAC_LABEL,

@@ -33,7 +33,6 @@ from .model import (
     component_count,
     grant,
     reachable,
-    validate,
 )
 from .policies import RbacSemantics, policy_from_dict, policy_to_cr
 
@@ -58,11 +57,11 @@ def _read_json(path: str) -> Any:
 
 
 def _load_cr(path: str) -> CommonRepresentation:
-    cr = serialize.cr_from_dict(_read_json(path))
-    problems = validate(cr)
-    if problems:
-        raise ValidationError(f"{path}: " + "; ".join(problems))
-    return cr
+    doc = _read_json(path)  # its errors name the file already
+    try:
+        return serialize.cr_from_dict(doc)
+    except (SchemaError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, output: Optional[str]) -> None:

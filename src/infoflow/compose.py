@@ -11,23 +11,18 @@ from __future__ import annotations
 from collections.abc import Set
 from itertools import filterfalse
 
-from .model import CommonRepresentation, Flow
+from .model import CommonRepresentation, Flow, _graph
 
 
 def _extend(a: CommonRepresentation, b: CommonRepresentation,
-            survivors: Set[Flow]) -> CommonRepresentation:
+            kept: Set[Flow]) -> CommonRepresentation:
     """The composite every operation builds: all of ``a``, ``b``'s interfaces,
-    and the ``survivors``, those flows of ``b`` outside ``a`` that the
-    operation keeps.  It takes over the part of ``a``'s query index that is
-    filled."""
-    out = CommonRepresentation(interfaces=a.interfaces | b.interfaces, flows=a.flows | survivors)
-    out._inherit_index(a, b, survivors)
+    and ``kept``, the flows of ``b`` that the operation keeps.  Both
+    operands are valid, so the composite is, and it skips the constructor's
+    check.  It takes over the part of ``a``'s query index that is filled."""
+    out = _graph(a.interfaces | b.interfaces, a.flows | kept)
+    out._inherit_index(a, kept)
     return out
-
-
-def _append_survivors(a: CommonRepresentation, b: CommonRepresentation) -> set[Flow]:
-    """The flows of b such that neither they nor their inverses are in a."""
-    return {f for f in b.flows if f not in a.flows and (f.dst, f.src) not in a.flows}
 
 
 def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -36,16 +31,18 @@ def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentat
     Commutative, associative and idempotent, with the empty graph as
     identity.
     """
-    return _extend(a, b, b.flows - a.flows)
+    return _extend(a, b, b.flows)
 
 
 def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
     """Priority composite; ``a`` wins where the two disagree.
 
     Interfaces are unioned.  All of a's flows survive; a flow of b survives
-    only when neither it nor its inverse appears in a's flows.
+    only when neither it nor its inverse appears in a's flows.  Those two
+    can only be there when both endpoints are interfaces of ``a``.
     """
-    return _extend(a, b, _append_survivors(a, b))
+    in_a, flows = a.interfaces.issuperset, a.flows
+    return _extend(a, b, {f for f in b.flows if not (in_a(f) and (f in flows or f[::-1] in flows))})
 
 
 def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -56,4 +53,4 @@ def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRep
     least one interface ``a`` does not declare pass through.  It is never
     more permissive than :func:`append`.
     """
-    return _extend(a, b, set(filterfalse(a.interfaces.issuperset, _append_survivors(a, b))))
+    return _extend(a, b, set(filterfalse(a.interfaces.issuperset, b.flows)))

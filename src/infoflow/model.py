@@ -21,7 +21,10 @@ only interfaces something else still holds; construction is thread-safe,
 and pickling or copying an interface returns the interned object.
 Constructors check field types: an ``Explicit`` needs a ``str`` entity and
 a :class:`Mode`, an ``Implicit`` two ``str`` fields, and anything else
-raises :class:`TypeError`.
+raises :class:`TypeError`.  A graph that exists is valid: the
+:class:`CommonRepresentation` constructor checks it.  Translations and
+composites, whose parts are known to be valid, are built by :func:`_graph`,
+which skips that.
 
 The one piece of state a graph gains is a derived index (each flow
 source's successor list, the availability partition and its component
@@ -45,9 +48,10 @@ from _weakref import _remove_dead_weakref
 from collections.abc import Iterable, Set
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import filterfalse
 from operator import itemgetter
 
-from .errors import UnknownInterfaceError
+from .errors import UnknownInterfaceError, ValidationError
 
 
 class Mode(enum.Enum):
@@ -252,62 +256,96 @@ def format_flow(flow: Flow) -> str:
 
 @dataclass(frozen=True)
 class CommonRepresentation:
-    """A finite set of interfaces plus a finite set of flows between them."""
+    """A finite set of interfaces plus a finite set of flows between them.
+
+    An element that is not an interface or a :class:`Flow` raises
+    :class:`TypeError`.  A flow endpoint the graph does not declare, an
+    empty or non-UTF-8 name, or an entity or agent holding ``#`` (its query
+    token would not read back) raises :class:`ValidationError` naming each.
+    """
 
     interfaces: frozenset[InterfaceId] = frozenset()
     flows: frozenset[Flow] = frozenset()
 
     def __post_init__(self) -> None:
         # Accept any iterables; store canonical frozensets.
-        object.__setattr__(self, "interfaces", frozenset(self.interfaces))
-        object.__setattr__(self, "flows", frozenset(self.flows))
+        for field, kinds in (("interfaces", (Explicit, Implicit)), ("flows", (Flow,))):
+            values = frozenset(getattr(self, field))
+            object.__setattr__(self, field, values)
+            for bad in filterfalse(kinds.__contains__, map(type, values)):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"CommonRepresentation {field} must be {names}, got {bad.__name__}")
+        if problems := _problems(self.interfaces, self.flows):
+            raise ValidationError("; ".join(problems))
 
     @cached_property
     def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:
-        """The destinations of each flow source, undeclared ones included;
-        a vertex with no outgoing flow has no entry."""
+        """The destinations of each flow source; a vertex with no outgoing flow has no entry."""
         return _rows(self.flows)
 
     @cached_property
     def _partition(self) -> dict[InterfaceId, InterfaceId]:
-        """The availability partition as union-find parent links: every
-        endpoint of a complementary pair, declared or not, is in one class
-        with the other.  A class's root has no entry, and the root of a
-        class that holds a declared interface is declared."""
+        """The availability partition as union-find parent links: the two
+        endpoints of a complementary pair are in one class.  A class's root
+        has no entry, and every other interface has one."""
         flows = self.flows
-        return _unite({}, self.interfaces, ((x, y) for x, y in flows if (y, x) in flows))
+        return _unite({}, ((x, y) for x, y in flows if (y, x) in flows))
 
     @cached_property
     def _component_count(self) -> int:
-        """The partition's classes that hold a declared interface, which are
-        those whose root is declared; an undeclared endpoint joins
-        components but starts none."""
-        return len(self.interfaces.difference(self._partition))
+        """The partition's classes, one per root: the interfaces without an entry."""
+        return len(self.interfaces) - len(self._partition)
 
-    def _inherit_index(self, a: CommonRepresentation, b: CommonRepresentation,
-                       added: Iterable[Flow]) -> None:
-        """Fill this graph's index from the part of ``a``'s that is filled,
-        for the composite of ``a`` and ``b`` that holds all of ``a``, ``b``'s
-        interfaces, and the flows ``added``, none of them in ``a``.  Only
-        rows that gain a flow are copied, and ``a``'s index is only read.
-        Call it before the graph is handed out: a graph in use never has its
-        index written again."""
+    def _inherit_index(self, a: CommonRepresentation, kept: Set[Flow]) -> None:
+        """Fill this graph's index from the filled part of ``a``'s, for a
+        composite holding all of ``a`` and the flows ``kept``, copying only
+        rows that gain a flow.  Call it before the graph is handed out."""
         filled = a.__dict__
         if "_successors" in filled:
             successors = filled["_successors"].copy()
-            for src, dsts in _rows(added).items():
+            for src, dsts in _rows(kept - a.flows).items():
                 successors[src] = successors.get(src, []) + dsts
             self.__dict__["_successors"] = successors
         if "_partition" in filled:
-            parent, declared, flows = filled["_partition"].copy(), self.interfaces, self.flows
-            for iface in b.interfaces - a.interfaces:
-                # An endpoint ``a`` left undeclared, now declared, in a class
-                # whose root is undeclared: it takes the root's place.
-                if iface in parent and (root := _find(parent, iface)) not in declared:
-                    parent[root] = iface
-                    del parent[iface]
+            # A pair already in ``a`` is joined already; joining it again changes nothing.
+            flows = self.flows
             self.__dict__["_partition"] = _unite(
-                parent, declared, ((x, y) for x, y in added if (y, x) in flows))
+                filled["_partition"].copy(), ((x, y) for x, y in kept if (y, x) in flows))
+
+
+def _graph(interfaces: Iterable[InterfaceId], flows: Iterable[Flow]) -> CommonRepresentation:
+    """A graph built without the constructor's check, from parts known to make a valid one."""
+    cr = object.__new__(CommonRepresentation)
+    vars(cr).update(interfaces=frozenset(interfaces), flows=frozenset(flows))
+    return cr
+
+
+def _misnamed(iface: InterfaceId) -> bool:
+    """True for an interface with a name :func:`_problems` reports."""
+    _kind, first, second = iface._key
+    return not first or not second or "#" in first or not _is_utf8(first + second)
+
+
+def _problems(interfaces: frozenset[InterfaceId], flows: frozenset[Flow]) -> list[str]:
+    """Each problem that makes the graph invalid, names first, in canonical
+    order; only the offending interfaces and flows are sorted."""
+    problems: list[str] = []
+    for iface in sorted(filter(_misnamed, interfaces), key=interface_key):
+        # An explicit interface's mode is "R" or "W" in its key, so it passes.
+        for name, value in zip(iface.__slots__, iface._key[1:]):
+            if not value:
+                problems.append(f"interface {format_interface(iface)!r} has an empty {name}")
+            elif not _is_utf8(value):
+                problems.append(
+                    f"interface {format_interface(iface)!r} has a {name} that is not UTF-8 text"
+                )
+            elif "#" in value and name != "label":
+                problems.append(f"interface {format_interface(iface)!r} has '#' in its {name}")
+    return problems + [
+        f"flow {format_flow(flow)} references undeclared interface {format_interface(end)}"
+        for flow in sorted(filterfalse(interfaces.issuperset, flows), key=flow_key)
+        for end in flow if end not in interfaces
+    ]
 
 
 def _rows(flows: Iterable[Flow]) -> dict[InterfaceId, list[InterfaceId]]:
@@ -329,50 +367,17 @@ def _find(parent: dict[InterfaceId, InterfaceId], vertex: InterfaceId) -> Interf
     return root
 
 
-def _unite(parent: dict[InterfaceId, InterfaceId], declared: Set[InterfaceId],
+def _unite(parent: dict[InterfaceId, InterfaceId],
            pairs: Iterable[tuple[InterfaceId, InterfaceId]]) -> dict[InterfaceId, InterfaceId]:
-    """Join the classes of each pair's endpoints in ``parent``, keeping a
-    declared root wherever a class holds a declared interface."""
+    """Join the classes of each pair's endpoints in ``parent``."""
     for x, y in pairs:
         root, other = _find(parent, x), _find(parent, y)
         if root is not other:
-            if root not in declared:
-                root, other = other, root
             parent[other] = root
     return parent
 
 
 EMPTY_CR = CommonRepresentation()
-
-
-def validate(cr: CommonRepresentation) -> list[str]:
-    """Well-formedness check.
-
-    Returns an empty list iff every flow endpoint is a declared interface,
-    every name component is non-empty UTF-8 text and no entity or agent
-    holds ``#``; otherwise one entry per problem.  So every interface that
-    passes prints as a query token that reads back as itself.
-    """
-    problems: list[str] = []
-    for iface in sorted(cr.interfaces, key=interface_key):
-        # An explicit interface's mode is "R" or "W" in its key, so it passes.
-        for name, value in zip(iface.__slots__, iface._key[1:]):
-            if not value:
-                problems.append(f"interface {format_interface(iface)!r} has an empty {name}")
-            elif not _is_utf8(value):
-                problems.append(
-                    f"interface {format_interface(iface)!r} has a {name} that is not UTF-8 text"
-                )
-            elif "#" in value and name != "label":
-                problems.append(f"interface {format_interface(iface)!r} has '#' in its {name}")
-    for flow in sorted(cr.flows, key=flow_key):
-        for endpoint in flow:
-            if endpoint not in cr.interfaces:
-                problems.append(
-                    f"flow {format_flow(flow)} references undeclared interface "
-                    f"{format_interface(endpoint)}"
-                )
-    return problems
 
 
 def grant(i1: InterfaceId, i2: InterfaceId, cr: CommonRepresentation) -> GrantResult:

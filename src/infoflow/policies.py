@@ -15,8 +15,8 @@ its family (an empty, undeclared or non-UTF-8 name, an entity or agent name
 holding ``#``, a lattice order that is not antisymmetric, a cyclic role
 hierarchy) raises :class:`ValidationError`
 listing every problem, so no invalid policy exists.  Every translation
-therefore takes its input as valid and yields a well-formed
-:class:`~infoflow.model.CommonRepresentation`.
+therefore takes its input as valid and builds a valid
+:class:`~infoflow.model.CommonRepresentation` without the graph's check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Any, Callable, ClassVar, Collection, Iterable, Mapping
 
 from .errors import SchemaError, ValidationError, one_of, strict_object
-from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _is_utf8
+from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _is_utf8
 
 # Label carried by the implicit interfaces a lattice policy produces.
 LBAC_LABEL = "lbac"
@@ -290,7 +290,7 @@ def _listing_cr(p: _ListingPolicy,
         Flow(reads[subject], writes[obj]) if mode is Mode.W else Flow(reads[obj], writes[subject])
         for obj, subject, mode in grants
     }
-    return CommonRepresentation(interfaces={*reads.values(), *writes.values()}, flows=flows)
+    return _graph({*reads.values(), *writes.values()}, flows)
 
 
 def acl_to_cr(p: AclPolicy) -> CommonRepresentation:
@@ -350,7 +350,7 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
         for e2 in p.entities
         if e1 != e2 and (labelling[e1] == labelling[e2] or labelling[e2] in above[labelling[e1]])
     }
-    return CommonRepresentation(interfaces=ports.values(), flows=flows)
+    return _graph(ports.values(), flows)
 
 
 def rbac_seniority(p: RbacPolicy, role: str) -> frozenset[str]:
@@ -391,7 +391,7 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
             flows |= {Flow(reads[o], writes[o]) for o in readable & writable}
         else:
             flows |= {Flow(reads[r], writes[w]) for r in readable for w in writable}
-    return CommonRepresentation(interfaces={*reads.values(), *writes.values()}, flows=flows)
+    return _graph({*reads.values(), *writes.values()}, flows)
 
 
 def policy_to_cr(policy: SourcePolicy,

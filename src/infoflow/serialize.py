@@ -126,12 +126,10 @@ def cr_from_dict(obj: Any) -> CommonRepresentation:
     strict_object(obj, {"interfaces", "flows"}, "graph")
     if not isinstance(obj["interfaces"], list) or not isinstance(obj["flows"], list):
         raise SchemaError("graph: 'interfaces' and 'flows' must be arrays")
-    interfaces = {
-        interface_from_dict(item, f"interfaces[{n}]")
-        for n, item in enumerate(obj["interfaces"])
-    }
-    flows = {flow_from_dict(item, f"flows[{n}]") for n, item in enumerate(obj["flows"])}
-    return CommonRepresentation(interfaces=interfaces, flows=flows)
+    return CommonRepresentation(
+        {interface_from_dict(item, f"interfaces[{n}]") for n, item in enumerate(obj["interfaces"])},
+        {flow_from_dict(item, f"flows[{n}]") for n, item in enumerate(obj["flows"])},
+    )
 
 
 def _block(key: InterfaceKey, indent: str) -> str:
@@ -176,7 +174,8 @@ def decode_json(text: str, source: str = "") -> Any:
 
 
 def loads(text: str) -> CommonRepresentation:
-    """Parse JSON text into a graph; :class:`SchemaError` on malformed input."""
+    """Parse JSON text into a graph; :class:`SchemaError` on malformed input,
+    :class:`ValidationError` on a graph that is not valid."""
     return cr_from_dict(decode_json(text))
 
 

@@ -1,4 +1,5 @@
-"""Random and hypothesis generators for graphs and source policies."""
+"""Random and hypothesis generators for graphs and source policies, and
+the rebuild that checks a graph the library built."""
 
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from infoflow import (
     Explicit,
     Flow,
     Implicit,
+    LatticePolicy,
     Mode,
     RbacPolicy,
 )
@@ -24,6 +26,13 @@ POOL = tuple(
 )
 
 
+def rebuilt(cr):
+    """``cr`` built again through the public constructor, whose check raises
+    unless the graph is valid; the check on every graph the library builds
+    without it."""
+    return CommonRepresentation(cr.interfaces, cr.flows)
+
+
 def random_cr(rng, pool=POOL, max_interfaces=8, density=0.3):
     count = rng.randint(0, min(max_interfaces, len(pool)))
     vertices = rng.sample(pool, count)
@@ -37,32 +46,14 @@ def random_cr(rng, pool=POOL, max_interfaces=8, density=0.3):
 
 
 @st.composite
-def graphs(draw, pool=POOL, max_interfaces=8):
-    vertices = draw(
-        st.sets(st.sampled_from(pool), min_size=0, max_size=max_interfaces)
-    )
+def graphs(draw, interfaces=st.sampled_from(POOL), max_interfaces=8):
+    vertices = draw(st.sets(interfaces, min_size=0, max_size=max_interfaces))
     ordered = sorted(vertices, key=interface_key)
     pairs = [(u, v) for u in ordered for v in ordered if u != v]
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return CommonRepresentation(
         interfaces=vertices, flows={Flow(u, v) for u, v in chosen}
     )
-
-
-@st.composite
-def open_graphs(draw, interfaces=st.sampled_from(POOL)):
-    """Graphs with some flow endpoints left undeclared."""
-    declared = draw(st.lists(interfaces, max_size=6))
-    pool = declared + draw(st.lists(interfaces, max_size=3))
-    if not pool:
-        return CommonRepresentation()
-    ends = st.sampled_from(pool)
-    pairs = draw(st.lists(st.tuples(ends, ends), max_size=10))
-    return CommonRepresentation(declared, {Flow(a, b) for a, b in pairs if a != b})
-
-
-# Valid graphs, and graphs with undeclared flow endpoints.
-ANY_GRAPHS = graphs() | open_graphs()
 
 
 def random_listing_entries(rng, keys, values, density=0.4):
@@ -105,3 +96,17 @@ def random_rbac(rng, max_roles=8, max_objects=4):
     objects = [f"o{i}" for i in range(1, max_objects + 1)]
     assignments = random_listing_entries(rng, roles, objects, density=0.3)
     return RbacPolicy(roles=roles, assignments=assignments, hierarchy=hierarchy)
+
+
+def random_lattice(rng, max_labels=5, max_entities=6):
+    labels = [f"l{i}" for i in range(rng.randint(1, max_labels))]
+    # Pairs only from lower to higher index, so the order is antisymmetric.
+    order = {
+        (labels[i], labels[j])
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if rng.random() < 0.3
+    }
+    entities = [f"e{i}" for i in range(1, rng.randint(1, max_entities) + 1)]
+    labelling = {entity: rng.choice(labels) for entity in entities}
+    return LatticePolicy(labels=labels, order=order, entities=entities, labelling=labelling)

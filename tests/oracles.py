@@ -30,14 +30,13 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-def union_find_component_count(vertices, edges, counted=None):
-    """Classes of ``vertices`` joined by ``edges`` that hold a vertex of
-    ``counted``, every class when it is None."""
+def union_find_component_count(vertices, edges):
+    """Classes of ``vertices`` joined by ``edges``."""
     uf = UnionFind(vertices)
     for edge in edges:
         a, b = tuple(edge)
         uf.union(a, b)
-    return len({uf.find(v) for v in (vertices if counted is None else counted)})
+    return len({uf.find(v) for v in vertices})
 
 
 def pairwise_complementary_edges(flows):

@@ -29,9 +29,8 @@ from infoflow import (
     rbac_seniority,
     rbac_to_cr,
     transpose_capabilities,
-    validate,
 )
-from crgen import random_acl, random_capabilities, random_rbac
+from crgen import random_acl, random_capabilities, random_lattice, random_rbac, rebuilt
 from oracles import dfs_closure, enumerate_listing_flows
 
 R, W = Mode.R, Mode.W
@@ -111,7 +110,8 @@ class TestAclTranslation:
         assert cr.flows == frozenset({Flow(ex("o1", R), ex("s1", W))})
 
     def test_output_is_well_formed(self):
-        assert validate(acl_to_cr(MATRIX_POLICY)) == []
+        cr = acl_to_cr(MATRIX_POLICY)
+        assert rebuilt(cr) == cr
 
     def test_soundness_on_random_policies(self):
         rng = random.Random(7)
@@ -124,7 +124,7 @@ class TestAclTranslation:
 
             expected = enumerate_listing_flows(policy.objects, policy.subjects, granted)
             assert cr.flows == frozenset(expected)
-            assert validate(cr) == []
+            assert rebuilt(cr) == cr
 
 
 class TestAclValidation:
@@ -367,7 +367,8 @@ class TestLbacTranslation:
 
     def test_output_is_well_formed(self):
         p = lattice({"A": "low", "B": "high"}, [("low", "high")])
-        assert validate(lbac_to_cr(p)) == []
+        cr = lbac_to_cr(p)
+        assert rebuilt(cr) == cr
 
 
 def rbac(roles, assignments, hierarchy):
@@ -545,8 +546,8 @@ class TestRbacTranslation:
             cross = rbac_to_cr(policy, RbacSemantics.CROSS_OBJECT)
             assert literal.flows <= cross.flows
             assert literal.interfaces == cross.interfaces
-            assert validate(literal) == []
-            assert validate(cross) == []
+            assert rebuilt(literal) == literal
+            assert rebuilt(cross) == cross
 
 
 # One valid document per family, each with at least one grant or order pair.
@@ -562,6 +563,19 @@ DOCS = {
 }
 CLASSES = {"acl": AclPolicy, "capabilities": CapabilityPolicy, "lbac": LatticePolicy,
            "rbac": RbacPolicy}
+
+
+FAMILIES = {"acl": random_acl, "capabilities": random_capabilities, "lbac": random_lattice,
+            "rbac": random_rbac}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(rng=st.randoms(use_true_random=False), semantics=st.sampled_from(RbacSemantics))
+def test_every_translation_equals_its_rebuild(family, rng, semantics):
+    """A translation skips the graph constructor's check; building the same
+    sets through it raises nothing and gives an equal graph."""
+    cr = policy_to_cr(FAMILIES[family](rng), semantics)
+    assert rebuilt(cr) == cr
 
 
 class TestPolicyLoading:

@@ -17,21 +17,17 @@ from infoflow import (
     to_dot,
 )
 from infoflow.serialize import cr_from_dict, cr_to_dict
-from crgen import graphs, open_graphs
+from crgen import graphs
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
 
-# Names that stress the encoder: JSON escapes, control characters, non-ASCII,
-# U+2028, a lone surrogate, and the token grammar's own "#" and ".R"/".W".
-AWKWARD = st.text(
-    st.sampled_from(['a', 'b', '"', '\\', '\x00', '\n', '\x1f', '\x7f', 'é', '中',
-                     '\u2028', '\ud800', '#', '.', 'R', 'W']),
-    max_size=5,
-) | st.sampled_from(["x#y", "o.R", "a.W", ""])
-INTERFACES = st.builds(Explicit, AWKWARD, st.sampled_from(Mode)) | st.builds(
-    Implicit, AWKWARD, AWKWARD
-)
+# Valid names that stress the encoder: JSON escapes, control characters,
+# non-ASCII, U+2028, the token grammar's ".R"/".W", and "#" in a label.
+AWKWARD = ['a', 'b', '"', '\\', '\x00', '\n', '\x1f', '\x7f', 'é', '中', '\u2028', '.', 'R', 'W']
+NAMES = st.text(st.sampled_from(AWKWARD), min_size=1, max_size=5) | st.sampled_from(["o.R", "a.W"])
+LABELS = st.text(st.sampled_from([*AWKWARD, "#"]), min_size=1, max_size=5) | st.just("x#y")
+INTERFACES = st.builds(Explicit, NAMES, st.sampled_from(Mode)) | st.builds(Implicit, NAMES, LABELS)
 
 
 def reference_dumps(g):
@@ -39,10 +35,15 @@ def reference_dumps(g):
     return json.dumps(cr_to_dict(g), indent=2, ensure_ascii=False) + "\n"
 
 
-@given(open_graphs(INTERFACES))
+@given(graphs(INTERFACES))
 @example(CommonRepresentation())
 def test_dumps_is_byte_identical_to_the_reference_encoder(g):
     assert dumps(g) == reference_dumps(g)
+
+
+@given(graphs(INTERFACES))
+def test_every_graph_reads_back_from_its_own_output(g):
+    assert loads(dumps(g)) == g
 
 
 def test_layout_is_the_documented_one():
@@ -180,6 +181,13 @@ def test_self_flow_in_document_is_a_validation_error():
     iface = {"kind": "implicit", "agent": "a", "label": "x"}
     with pytest.raises(ValidationError, match="self-flow"):
         cr_from_dict({"interfaces": [iface], "flows": [{"from": iface, "to": iface}]})
+
+
+def test_undeclared_endpoint_in_document_is_a_validation_error():
+    a, b = ({"kind": "implicit", "agent": name, "label": "x"} for name in "ab")
+    with pytest.raises(ValidationError) as caught:
+        loads(json.dumps({"interfaces": [a], "flows": [{"from": a, "to": b}]}))
+    assert str(caught.value) == "flow a#x -> b#x references undeclared interface b#x"
 
 
 def test_duplicate_entries_collapse():
