@@ -19,22 +19,14 @@ import json
 import os
 import stat
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from . import analyze, rules, serialize
 from .errors import SchemaError, UnknownInterfaceError, ValidationError
-from .model import (
-    CommonRepresentation,
-    Explicit,
-    Implicit,
-    InterfaceId,
-    Mode,
-    _is_utf8,
-    component_count,
-    grant,
-    reachable,
-)
+from .model import Explicit, Implicit, InterfaceId, Mode, component_count, grant, reachable
 from .policies import RbacSemantics, policy_from_dict, policy_to_cr
+
+_T = TypeVar("_T")
 
 
 class QueryError(ValueError):
@@ -56,10 +48,12 @@ def _read_json(path: str) -> Any:
     return serialize.decode_json(text, path)
 
 
-def _load_cr(path: str) -> CommonRepresentation:
+def _load(path: str, reader: Callable[[Any], _T]) -> _T:
+    """The value ``reader`` makes from the JSON file at ``path``; every
+    error it raises names the file."""
     doc = _read_json(path)  # its errors name the file already
     try:
-        return serialize.cr_from_dict(doc)
+        return reader(doc)
     except (SchemaError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -111,24 +105,24 @@ def _emit_report(command: str, inputs: list[str], outcome: dict[str, Any],
 
 
 def parse_interface_token(token: str) -> InterfaceId:
-    """Parse ``entity.R``, ``entity.W`` or ``agent#label``."""
-    if not _is_utf8(token):
-        raise QueryError(f"bad interface token {token!r}: not UTF-8 text")
-    if "#" in token:
-        agent, _, label = token.partition("#")
-        if agent and label:
+    """Parse ``entity.R``, ``entity.W`` or ``agent#label``; a name the
+    interface constructor refuses is a :class:`QueryError` too."""
+    try:
+        if "#" in token:
+            agent, _, label = token.partition("#")
             return Implicit(agent, label)
-    else:
         entity, _, mode = token.rpartition(".")
-        if entity and mode in Mode._value2member_map_:
+        if mode in Mode._value2member_map_:
             return Explicit(entity, Mode._value2member_map_[mode])
+    except ValidationError as exc:
+        raise QueryError(f"bad interface token: {exc}") from exc
     raise QueryError(
         f"bad interface token {token!r}: expected entity.R, entity.W or agent#label"
     )
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    policy = policy_from_dict(_read_json(args.policy))
+    policy = _load(args.policy, policy_from_dict)
     cr = policy_to_cr(policy, RbacSemantics._value2member_map_[args.rbac_semantics])
     _emit(serialize.dumps(cr), args.output)
     return 0
@@ -144,13 +138,13 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     if args.op != "rule" and args.rule_file is not None:
         _err(f"compose {args.op} takes no --rule; only compose rule reads a rule file")
         return 2
-    crs = [_load_cr(path) for path in args.crs]
+    crs = [_load(path, serialize.cr_from_dict) for path in args.crs]
     if args.op != "rule":
         composer = rules._COMPOSERS[rules.Action._value2member_map_[args.op]]
         _emit(serialize.dumps(functools.reduce(composer, crs)), args.output)
         return 0
 
-    rule = rules.rule_from_dict(_read_json(args.rule_file))
+    rule = _load(args.rule_file, rules.rule_from_dict)
     decisions = []
     rejected = False
     acc = crs[0]
@@ -186,8 +180,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    a = _load_cr(args.a)
-    b = _load_cr(args.b)
+    a = _load(args.a, serialize.cr_from_dict)
+    b = _load(args.b, serialize.cr_from_dict)
     found = analyze.conflicts(a, b)
     _emit_report(
         "analyze",
@@ -204,7 +198,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cr = _load_cr(args.cr)
+    cr = _load(args.cr, serialize.cr_from_dict)
     results: list[dict[str, Any]] = []
     for src_tok, dst_tok in args.grant or []:
         outcome = grant(parse_interface_token(src_tok), parse_interface_token(dst_tok), cr)
@@ -226,7 +220,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    _emit(serialize.to_dot(_load_cr(args.cr)), args.output)
+    _emit(serialize.to_dot(_load(args.cr, serialize.cr_from_dict)), args.output)
     return 0
 
 

@@ -21,22 +21,25 @@ only interfaces something else still holds; construction is thread-safe,
 and pickling or copying an interface returns the interned object.
 Constructors check field types: an ``Explicit`` needs a ``str`` entity and
 a :class:`Mode`, an ``Implicit`` two ``str`` fields, and anything else
-raises :class:`TypeError`.  A graph that exists is valid: the
-:class:`CommonRepresentation` constructor checks it.  Translations and
+raises :class:`TypeError`.  An interface that exists is valid: a name that
+is empty, not UTF-8 text, or an entity or agent holding ``#`` raises
+:class:`ValidationError` when the interface is first made, so every
+interface's printed name reads back as itself.  A graph that exists is
+valid too: the :class:`CommonRepresentation` constructor checks element
+types and that every flow endpoint is declared.  Translations and
 composites, whose parts are known to be valid, are built by :func:`_graph`,
 which skips that.
 
-The one piece of state a graph gains is a derived index (each flow
-source's successor list, the availability partition and its component
-count), reused by every query on the same value.  A translation, a loaded
-graph or a composite whose first operand has no index fills it on its first
-``reachable``, ``is_lively`` or ``component_count`` query.  A composite
-whose first operand has filled it is built with it: the operand's rows
-plus the new flows, and its partition with their complementary pairs
-joined in.  An index is written only while it is filled, never after, and
-an operand's index is only read.  It is not a field, so equality, hashing
-and serialized output never see it; two threads racing to fill it compute
-the same value, which is harmless.
+The one piece of state a graph gains is a derived index (each flow source's
+successor list and the availability partition), reused by every query on
+the same value.  A translation, a loaded graph or a composite whose first
+operand has no index fills it on its first ``reachable``, ``is_lively`` or
+``component_count`` query.  A composite whose first operand has filled it
+is built with it: the operand's rows plus the new flows, and its partition
+with their complementary pairs joined in.  An index is written only while
+it is filled, never after, and an operand's index is only read.  It is not
+a field, so equality, hashing and serialized output never see it; two
+threads racing to fill it compute the same value, which is harmless.
 """
 
 from __future__ import annotations
@@ -93,13 +96,20 @@ def _discard(dead: _Entry) -> None:
 
 def _intern(cls: type, key: InterfaceKey, values: tuple) -> _Interface:
     """The live interface with this key, made from ``cls`` and the field
-    ``values`` if there is none.  A hit takes no lock; on a miss, checking
-    and inserting are one step under the lock, so two threads never make
-    two interfaces for one value."""
+    ``values`` if there is none.  A hit takes no lock and no name check: the
+    interface was checked when it was made.  A miss checks the names first,
+    so a refused value leaves no entry; then looking up and inserting are
+    one step under the lock, so two threads never make two interfaces for
+    one value."""
     ref = _interned.get(key)
     iface = None if ref is None else ref()
     if iface is not None:
         return iface
+    _kind, first, second = key
+    # An ASCII name can only fail by being empty or, in an entity or agent,
+    # holding ``#``; only a name failing this test takes the full check.
+    if not (first and second and "#" not in first and first.isascii() and second.isascii()):
+        _check_names(cls, key)
     with _intern_lock:
         ref = _interned.get(key)
         iface = None if ref is None else ref()
@@ -117,7 +127,8 @@ def _intern(cls: type, key: InterfaceKey, values: tuple) -> _Interface:
 class _Interface:
     """Immutable, interned interface value: its subclass names its two
     fields in ``__slots__``, and its constructor checks their types and
-    returns the object from :func:`_intern`, which keeps its key in ``_key``."""
+    returns the object from :func:`_intern`, which checks their names and
+    keeps its key in ``_key``."""
 
     __slots__ = ("__weakref__", "_key")
 
@@ -207,6 +218,22 @@ def _is_utf8(name: str) -> bool:
     return True
 
 
+def _check_names(cls: type, key: InterfaceKey) -> None:
+    """Raise :class:`ValidationError` for the first of the interface's fields
+    that is empty, not UTF-8 text, or an entity or agent holding ``#``: the
+    query token of such an interface would not read back as itself."""
+    for name, value in zip(cls.__slots__, key[1:]):
+        if not value:
+            problem = f"an empty {name}"
+        elif not _is_utf8(value):
+            problem = f"{'a' if name == 'label' else 'an'} {name} that is not UTF-8 text"
+        elif "#" in value and name != "label":
+            problem = f"'#' in its {name}"
+        else:
+            continue
+        raise ValidationError(f"interface {format_key(key)!r} has {problem}")
+
+
 class Flow(tuple):
     """A directed edge, the pair ``(src, dst)``: information may move from src to dst.
 
@@ -259,9 +286,9 @@ class CommonRepresentation:
     """A finite set of interfaces plus a finite set of flows between them.
 
     An element that is not an interface or a :class:`Flow` raises
-    :class:`TypeError`.  A flow endpoint the graph does not declare, an
-    empty or non-UTF-8 name, or an entity or agent holding ``#`` (its query
-    token would not read back) raises :class:`ValidationError` naming each.
+    :class:`TypeError`, and a flow endpoint the graph does not declare
+    raises :class:`ValidationError` naming each.  Pickling and copying
+    rebuild through this check.
     """
 
     interfaces: frozenset[InterfaceId] = frozenset()
@@ -275,8 +302,16 @@ class CommonRepresentation:
             for bad in filterfalse(kinds.__contains__, map(type, values)):
                 names = " or ".join(kind.__name__ for kind in kinds)
                 raise TypeError(f"CommonRepresentation {field} must be {names}, got {bad.__name__}")
-        if problems := _problems(self.interfaces, self.flows):
-            raise ValidationError("; ".join(problems))
+        interfaces = self.interfaces
+        if undeclared := sorted(filterfalse(interfaces.issuperset, self.flows), key=flow_key):
+            raise ValidationError("; ".join(
+                f"flow {format_flow(flow)} references undeclared interface {format_interface(end)}"
+                for flow in undeclared for end in flow if end not in interfaces))
+
+    def __reduce__(self) -> tuple:
+        # Unpickling, copy and deepcopy rebuild through the constructor and
+        # its check; the index is left behind.
+        return CommonRepresentation, (self.interfaces, self.flows)
 
     @cached_property
     def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:
@@ -287,19 +322,17 @@ class CommonRepresentation:
     def _partition(self) -> dict[InterfaceId, InterfaceId]:
         """The availability partition as union-find parent links: the two
         endpoints of a complementary pair are in one class.  A class's root
-        has no entry, and every other interface has one."""
+        has no entry, and every other interface has one; every key is a
+        declared interface, so the classes number the interfaces less the
+        entries."""
         flows = self.flows
         return _unite({}, ((x, y) for x, y in flows if (y, x) in flows))
 
-    @cached_property
-    def _component_count(self) -> int:
-        """The partition's classes, one per root: the interfaces without an entry."""
-        return len(self.interfaces) - len(self._partition)
-
     def _inherit_index(self, a: CommonRepresentation, kept: Set[Flow]) -> None:
-        """Fill this graph's index from the filled part of ``a``'s, for a
-        composite holding all of ``a`` and the flows ``kept``, copying only
-        rows that gain a flow.  Call it before the graph is handed out."""
+        """Fill this graph's index (successor rows, partition) from the
+        filled part of ``a``'s, for a composite holding all of ``a`` and the
+        flows ``kept``, copying only rows that gain a flow.  Call it before
+        the graph is handed out."""
         filled = a.__dict__
         if "_successors" in filled:
             successors = filled["_successors"].copy()
@@ -318,34 +351,6 @@ def _graph(interfaces: Iterable[InterfaceId], flows: Iterable[Flow]) -> CommonRe
     cr = object.__new__(CommonRepresentation)
     vars(cr).update(interfaces=frozenset(interfaces), flows=frozenset(flows))
     return cr
-
-
-def _misnamed(iface: InterfaceId) -> bool:
-    """True for an interface with a name :func:`_problems` reports."""
-    _kind, first, second = iface._key
-    return not first or not second or "#" in first or not _is_utf8(first + second)
-
-
-def _problems(interfaces: frozenset[InterfaceId], flows: frozenset[Flow]) -> list[str]:
-    """Each problem that makes the graph invalid, names first, in canonical
-    order; only the offending interfaces and flows are sorted."""
-    problems: list[str] = []
-    for iface in sorted(filter(_misnamed, interfaces), key=interface_key):
-        # An explicit interface's mode is "R" or "W" in its key, so it passes.
-        for name, value in zip(iface.__slots__, iface._key[1:]):
-            if not value:
-                problems.append(f"interface {format_interface(iface)!r} has an empty {name}")
-            elif not _is_utf8(value):
-                problems.append(
-                    f"interface {format_interface(iface)!r} has a {name} that is not UTF-8 text"
-                )
-            elif "#" in value and name != "label":
-                problems.append(f"interface {format_interface(iface)!r} has '#' in its {name}")
-    return problems + [
-        f"flow {format_flow(flow)} references undeclared interface {format_interface(end)}"
-        for flow in sorted(filterfalse(interfaces.issuperset, flows), key=flow_key)
-        for end in flow if end not in interfaces
-    ]
 
 
 def _rows(flows: Iterable[Flow]) -> dict[InterfaceId, list[InterfaceId]]:
@@ -400,7 +405,7 @@ def component_count(cr: CommonRepresentation) -> int:
     Read from the graph's index, so only the first query on a value pays
     for it.
     """
-    return cr._component_count
+    return len(cr.interfaces) - len(cr._partition)
 
 
 def is_lively(cr: CommonRepresentation) -> bool:

@@ -145,8 +145,16 @@ def problems(interfaces, flows=()):
     return str(caught.value)
 
 
+def refusal(cls, *fields):
+    """The text of the error constructing this interface raises."""
+    with pytest.raises(ValidationError) as caught:
+        cls(*fields)
+    return str(caught.value)
+
+
 class TestValidate:
-    """The constructor checks the graph and lists every problem."""
+    """Constructors check their values: an interface its names, and a graph
+    its element types and that every flow endpoint is declared."""
 
     def test_well_formed(self):
         g = cr({A, B}, {Flow(A, B)})
@@ -167,26 +175,31 @@ class TestValidate:
         assert CommonRepresentation() == EMPTY_CR == cr(set(), set())
 
     def test_empty_name_reported(self):
-        assert problems({Implicit("", "x"), Explicit("o", Mode.R)}) == (
-            "interface '#x' has an empty agent")
-        assert problems({Implicit("", "")}) == (
-            "interface '#' has an empty agent; interface '#' has an empty label")
+        assert refusal(Explicit, "", Mode.W) == "interface '.W' has an empty entity"
+        assert refusal(Implicit, "", "x") == "interface '#x' has an empty agent"
+        assert refusal(Implicit, "a", "") == "interface 'a#' has an empty label"
 
     def test_name_that_is_not_utf8_reported(self):
-        assert problems({Implicit("a", "x\ud800"), Explicit("zoë", Mode.R)}) == (
+        assert refusal(Explicit, "o\ud800", Mode.W) == (
+            "interface 'o\\ud800.W' has an entity that is not UTF-8 text")
+        assert refusal(Implicit, "a\ud800", "x") == (
+            "interface 'a\\ud800#x' has an agent that is not UTF-8 text")
+        assert refusal(Implicit, "a", "x\ud800") == (
             "interface 'a#x\\ud800' has a label that is not UTF-8 text")
+        assert Explicit("zoë", Mode.R).entity == "zoë"
 
     def test_hash_in_entity_or_agent_reported(self):
         # Their tokens, 'a#b.R' and 'a#b#c', would read back as Implicit('a', ...).
-        assert problems({Explicit("a#b", Mode.R), Implicit("a#b", "c"),
-                         Implicit("a", "b#c")}) == (
-            "interface 'a#b.R' has '#' in its entity; interface 'a#b#c' has '#' in its agent")
+        assert refusal(Explicit, "a#b", Mode.R) == "interface 'a#b.R' has '#' in its entity"
+        assert refusal(Implicit, "a#b", "c") == "interface 'a#b#c' has '#' in its agent"
+        assert Implicit("a", "b#c").label == "b#c"
 
-    def test_names_are_reported_before_flows_each_in_canonical_order(self):
-        bad = Implicit("", "x")
-        assert problems({bad, B, Explicit("o#", Mode.W)}, {Flow(bad, A), Flow(B, bad)}) == (
-            "interface 'o#.W' has '#' in its entity; interface '#x' has an empty agent; "
-            "flow #x -> a#x references undeclared interface a#x")
+    def test_only_the_first_bad_field_is_reported(self):
+        assert refusal(Implicit, "", "") == "interface '#' has an empty agent"
+        assert refusal(Implicit, "a#", "\ud800") == (
+            "interface 'a##\\ud800' has '#' in its agent")
+        assert refusal(Implicit, "\ud800#", "") == (
+            "interface '\\ud800##' has an agent that is not UTF-8 text")
 
     def test_replace_checks_too(self):
         g = cr({A, B}, {Flow(A, B)})
@@ -343,6 +356,23 @@ class TestIndex:
         assert g == fresh and fresh == g
         assert hash(g) == hash(fresh)
         assert dumps(g) == before == dumps(fresh)
+
+    @given(graphs())
+    def test_pickle_and_copies_rebuild_without_the_index(self, g):
+        query(g)
+        copies = [pickle.loads(pickle.dumps(g, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in [*copies, copy.copy(g), copy.deepcopy(g)]:
+            assert copied == g and set(vars(copied)) == FIELDS
+            assert declared_endpoints_are_shared(copied)
+
+    def test_unpickling_checks_the_graph(self):
+        # Only the unchecked builder can make this graph; the constructor refuses it.
+        dangling = model._graph({A}, {Flow(A, B)})
+        with pytest.raises(ValidationError, match="undeclared interface b#x"):
+            pickle.loads(pickle.dumps(dangling))
+        with pytest.raises(ValidationError, match="undeclared interface b#x"):
+            copy.copy(dangling)
 
     @given(graphs(), st.data())
     def test_undeclared_and_sink_only_endpoints_match_oracles(self, full, data):
@@ -593,6 +623,19 @@ class TestInterning:
         with pytest.raises(TypeError):
             build()
         assert set(model._interned) <= before
+
+    @pytest.mark.parametrize(
+        "cls, first, second",
+        [(Explicit, "", Mode.R), (Explicit, "o\ud800", Mode.W), (Explicit, "o#", Mode.W),
+         (Implicit, "a", ""), (Implicit, "a", "x\ud800"), (Implicit, "a#", "x")],
+        ids=["entity-empty", "entity-not-utf8", "entity-hash", "label-empty", "label-not-utf8",
+             "agent-hash"],
+    )
+    def test_refused_name_leaves_no_entry(self, cls, first, second):
+        key = (cls.__name__.lower(), first, getattr(second, "value", second))
+        with pytest.raises(ValidationError):
+            cls(first, second)
+        assert key not in model._interned
 
     def test_threads_racing_on_a_new_value_get_one_object(self):
         workers, rounds = 8, 200

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import types
 from pathlib import Path
@@ -28,3 +30,14 @@ def test_readme_public_api_section_lists_exactly_all():
     listed = re.findall(r"`(\w+)`", bullets)
     assert sorted(listed) == sorted(infoflow.__all__)
     assert len(listed) == len(set(listed))
+
+
+def test_readme_library_example_runs_and_prints_what_it_says():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines()[-2:] == [
+        "False", "name 'x' is declared as both an object and a subject"]
