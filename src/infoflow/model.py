@@ -105,11 +105,7 @@ def _intern(cls: type, key: InterfaceKey, values: tuple) -> _Interface:
     iface = None if ref is None else ref()
     if iface is not None:
         return iface
-    _kind, first, second = key
-    # An ASCII name can only fail by being empty or, in an entity or agent,
-    # holding ``#``; only a name failing this test takes the full check.
-    if not (first and second and "#" not in first and first.isascii() and second.isascii()):
-        _check_names(cls, key)
+    _check_names(cls, key)
     with _intern_lock:
         ref = _interned.get(key)
         iface = None if ref is None else ref()
@@ -311,7 +307,7 @@ class CommonRepresentation:
     def __reduce__(self) -> tuple:
         # Unpickling, copy and deepcopy rebuild through the constructor and
         # its check; the index is left behind.
-        return CommonRepresentation, (self.interfaces, self.flows)
+        return type(self), (self.interfaces, self.flows)
 
     @cached_property
     def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:
