@@ -27,6 +27,8 @@ def strict_object(obj: Any, required: Set[str], where: str) -> None:
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    if obj.keys() == required:
+        return
     missing = required - obj.keys()
     if missing:
         raise SchemaError(f"{where}: missing field {sorted(missing)[0]!r}")

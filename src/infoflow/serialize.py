@@ -38,7 +38,12 @@ This is exactly the text of ``json.dumps(cr_to_dict(cr), indent=2,
 ensure_ascii=False) + "\\n"``; :func:`dumps` writes it directly, without
 building the dict tree.  Arrays are in canonical order (variant tag, then
 names, then mode), so serialization is deterministic byte for byte.
-Loading is strict: unknown or missing fields raise :class:`SchemaError`.
+Loading is strict: unknown or missing fields raise :class:`SchemaError`,
+and an error in one interface or flow object names its place in the
+document (``flows[3].to: ...``).  Each distinct interface object is checked
+once per document: an object equal to one checked before, the same fields
+with the same values in the same order, makes the same interface without a
+second check.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ _KINDS = {"explicit": Explicit, "implicit": Implicit}
 # parts of its :func:`interface_key`.
 _FIELDS = {kind: ("kind", *cls.__slots__) for kind, cls in _KINDS.items()}
 _FIELD_SETS = {kind: frozenset(fields) for kind, fields in _FIELDS.items()}
+_FLOW_FIELDS = frozenset({"from", "to"})
 
 
 def _canonical(
@@ -95,16 +101,9 @@ def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
         elif not isinstance(value, str):
             raise SchemaError(f"{where}.{name}: expected a string, got {type(value).__name__}")
         values.append(value)
-    return cls(*values)
-
-
-def flow_from_dict(obj: Any, where: str = "flow") -> Flow:
-    strict_object(obj, {"from", "to"}, where)
-    src = interface_from_dict(obj["from"], f"{where}.from")
-    dst = interface_from_dict(obj["to"], f"{where}.to")
     try:
-        return Flow(src, dst)
-    except ValueError as exc:
+        return cls(*values)
+    except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -126,10 +125,32 @@ def cr_from_dict(obj: Any) -> CommonRepresentation:
     strict_object(obj, {"interfaces", "flows"}, "graph")
     if not isinstance(obj["interfaces"], list) or not isinstance(obj["flows"], list):
         raise SchemaError("graph: 'interfaces' and 'flows' must be arrays")
-    return CommonRepresentation(
-        {interface_from_dict(item, f"interfaces[{n}]") for n, item in enumerate(obj["interfaces"])},
-        {flow_from_dict(item, f"flows[{n}]") for n, item in enumerate(obj["flows"])},
-    )
+    # The interface each object checked so far made, keyed by its fields and
+    # then their values, in document order: an equal object later on makes
+    # the same interface unchecked.  Only a check builds a location.
+    made: dict[tuple, InterfaceId] = {}
+
+    def interface(item: Any, where: str, n: int) -> InterfaceId:
+        try:
+            iface = made.get((*item, *item.values()))
+        except (AttributeError, TypeError):  # not a dict, or a value that cannot be hashed
+            iface = None
+        if iface is None:
+            iface = made[(*item, *item.values())] = interface_from_dict(item, where % n)
+        return iface
+
+    interfaces = {interface(item, "interfaces[%d]", n) for n, item in enumerate(obj["interfaces"])}
+    flows = set()
+    for n, item in enumerate(obj["flows"]):
+        if type(item) is not dict or item.keys() != _FLOW_FIELDS:  # locate only an error
+            strict_object(item, _FLOW_FIELDS, f"flows[{n}]")
+        src = interface(item["from"], "flows[%d].from", n)
+        dst = interface(item["to"], "flows[%d].to", n)
+        try:
+            flows.add(Flow(src, dst))
+        except ValueError as exc:
+            raise ValidationError(f"flows[{n}]: {exc}") from exc
+    return CommonRepresentation(interfaces, flows)
 
 
 def _block(key: InterfaceKey, indent: str) -> str:

@@ -6,10 +6,14 @@ closures come from recursive DFS started afresh at every node (the library
 finishes nodes in post-order and reuses their finished sets, without
 recursion), permission flows are enumerated triple by triple, composites are
 decided one flow at a time, and conflicts are filtered from the whole
-symmetric difference.
+symmetric difference.  The one exception is the reference graph loader,
+which is the library's loader without its memo: every interface object goes
+through ``serialize.interface_from_dict`` each time it occurs.
 """
 
-from infoflow import Explicit, Flow, Mode
+from infoflow import CommonRepresentation, Explicit, Flow, Mode, SchemaError, ValidationError
+from infoflow.errors import strict_object
+from infoflow.serialize import decode_json, interface_from_dict
 
 
 class UnionFind:
@@ -125,3 +129,24 @@ def conflicts_by_definition(a, b):
     """The flows exactly one of a and b permits whose endpoints both declare."""
     shared = a.interfaces & b.interfaces
     return frozenset(filter(shared.issuperset, a.flows ^ b.flows))
+
+
+def strict_loads(text):
+    """The graph of JSON ``text``, with every interface object checked at
+    each of its occurrences; errors carry ``loads``'s locations."""
+    doc = decode_json(text)
+    strict_object(doc, {"interfaces", "flows"}, "graph")
+    if not isinstance(doc["interfaces"], list) or not isinstance(doc["flows"], list):
+        raise SchemaError("graph: 'interfaces' and 'flows' must be arrays")
+    interfaces = {interface_from_dict(item, f"interfaces[{n}]")
+                  for n, item in enumerate(doc["interfaces"])}
+    flows = set()
+    for n, item in enumerate(doc["flows"]):
+        strict_object(item, {"from", "to"}, f"flows[{n}]")
+        src = interface_from_dict(item["from"], f"flows[{n}].from")
+        dst = interface_from_dict(item["to"], f"flows[{n}].to")
+        try:
+            flows.add(Flow(src, dst))
+        except ValueError as exc:
+            raise ValidationError(f"flows[{n}]: {exc}") from exc
+    return CommonRepresentation(interfaces, flows)

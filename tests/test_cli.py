@@ -336,7 +336,7 @@ IFACE = {"kind": "implicit", "agent": "a", "label": "i"}
          "flow a#i -> b#i references undeclared interface b#i"),
         ("{oops", 2, "invalid JSON: "),
         ({"interfaces": [IFACE, dict(IFACE, agent="a#b")], "flows": []}, 3,
-         "interface 'a#b#i' has '#' in its agent"),
+         "interfaces[1]: interface 'a#b#i' has '#' in its agent"),
     ],
     ids=["schema", "self-flow", "undeclared", "not-json", "bad-name"],
 )

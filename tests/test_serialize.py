@@ -1,9 +1,11 @@
+import gc
 import json
 import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from infoflow import model
 from infoflow import (
     CommonRepresentation,
     Explicit,
@@ -18,9 +20,11 @@ from infoflow import (
 )
 from infoflow.serialize import cr_from_dict, cr_to_dict
 from crgen import graphs
+from oracles import strict_loads
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
+IFACE_A = {"kind": "implicit", "agent": "a", "label": "x"}
 
 # Valid names that stress the encoder: JSON escapes, control characters,
 # non-ASCII, U+2028, the token grammar's ".R"/".W", and "#" in a label.
@@ -188,6 +192,101 @@ def test_undeclared_endpoint_in_document_is_a_validation_error():
     with pytest.raises(ValidationError) as caught:
         loads(json.dumps({"interfaces": [a], "flows": [{"from": a, "to": b}]}))
     assert str(caught.value) == "flow a#x -> b#x references undeclared interface b#x"
+
+
+@pytest.mark.parametrize(
+    "interfaces, flows, error, message",
+    [
+        ([IFACE_A, dict(IFACE_A, agent="a#b")], [], ValidationError,
+         "interfaces[1]: interface 'a#b#x' has '#' in its agent"),
+        ([IFACE_A], [{"from": dict(IFACE_A, agent="a#b"), "to": IFACE_A}], ValidationError,
+         "flows[0].from: interface 'a#b#x' has '#' in its agent"),
+        # A bad copy of an object that was valid earlier in the document.
+        ([IFACE_A], [{"from": IFACE_A, "to": dict(IFACE_A, agent="a#")}], ValidationError,
+         "flows[0].to: interface 'a##x' has '#' in its agent"),
+        ([IFACE_A], [{"from": IFACE_A, "to": dict(IFACE_A, label=3)}], SchemaError,
+         "flows[0].to.label: expected a string, got int"),
+        ([IFACE_A], [{"from": IFACE_A, "to": {**IFACE_A, "mode": "R"}}], SchemaError,
+         "flows[0].to: unknown field 'mode'"),
+        ([IFACE_A], [{"from": IFACE_A, "to": {"kind": "implicit", "agent": "a", "entity": "x"}}],
+         SchemaError, "flows[0].to: missing field 'label'"),
+    ],
+    ids=["bad-name", "bad-name-in-from", "bad-name-copy", "not-a-string-copy", "extra-field-copy",
+         "renamed-field-copy"],
+)
+def test_a_bad_interface_object_is_reported_at_its_place(interfaces, flows, error, message):
+    with pytest.raises(error) as caught:
+        loads(json.dumps({"interfaces": interfaces, "flows": flows}))
+    assert str(caught.value) == message
+
+
+# Values an interface or flow object's fields, or the object itself, may be spoiled with:
+# other names (valid, or with "#", or empty), other tags, and non-strings.
+SPOILERS = st.sampled_from(["zz", "a#b", "", "R", "W", "explicit", "implicit",
+                            1, 1.5, True, None, [], ["x"], {"k": "v"}])
+SPOILS = st.tuples(
+    st.integers(min_value=0),
+    st.sampled_from(["reorder", "rename", "extra", "field", "replace"]),
+    st.sampled_from(["kind", "entity", "mode", "agent", "label"]),
+    SPOILERS,
+) | st.tuples(st.integers(min_value=0), st.just("name"), st.none(),
+              st.sampled_from(["zz", "a#b", ""]))
+
+
+def spoil(obj, how, field, value):
+    """``obj`` with its keys reversed, its last key renamed ``field``, an
+    extra field, ``field`` (or, for "name", its entity or agent) set to
+    ``value``, or replaced by ``value`` whole."""
+    if not isinstance(obj, dict) or how == "replace":
+        return value
+    if how == "reorder":
+        return dict(reversed(obj.items()))
+    if how == "rename":
+        *kept, (_, last) = obj.items()
+        return dict([*kept, (field, last)])
+    if how == "name":
+        field = "entity" if "entity" in obj else "agent"
+    return {**obj, ("extra" if how == "extra" else field): value}
+
+
+def outcome(load, text):
+    try:
+        return load(text)
+    except (SchemaError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(graphs() | graphs(INTERFACES), st.lists(SPOILS, max_size=3))
+@example(CommonRepresentation({A, B}, {Flow(A, B)}), [(4, "rename", "entity", None)])
+def test_loads_agrees_with_a_loader_that_checks_every_occurrence(g, spoils):
+    doc = json.loads(dumps(g))
+    places = [(doc[array], n) for array in ("interfaces", "flows") for n in range(len(doc[array]))]
+    places += [(flow, end) for flow in doc["flows"] for end in ("from", "to")]
+    for n, how, field, value in spoils:
+        if places:
+            holder, key = places[n % len(places)]
+            holder[key] = spoil(holder[key], how, field, value)
+    text = json.dumps(doc)
+    assert outcome(loads, text) == outcome(strict_loads, text)
+
+
+def test_the_memo_lives_for_one_document():
+    names = [f"memo-probe-{n}" for n in range(3)]
+    g = loads(json.dumps({"interfaces": [dict(IFACE_A, agent=name) for name in names],
+                          "flows": []}))
+    keys = [("implicit", name, "x") for name in names]
+    assert all(key in model._interned for key in keys)
+    del g
+    gc.collect()
+    assert not any(key in model._interned for key in keys)
+
+
+def test_an_object_in_the_interfaces_and_both_flow_ends_is_one_interface():
+    b = dict(IFACE_A, agent="b")
+    g = loads(json.dumps({"interfaces": [IFACE_A, b],
+                          "flows": [{"from": IFACE_A, "to": b}, {"from": b, "to": IFACE_A}]}))
+    ends = [end for flow in g.flows for end in flow]
+    assert len(ends) == 4 and len({id(iface) for iface in [*g.interfaces, *ends]}) == 2
 
 
 def test_duplicate_entries_collapse():
