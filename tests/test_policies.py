@@ -145,6 +145,33 @@ class TestAclValidation:
             dataclasses.replace(MATRIX_POLICY, subjects={"o1"})
 
 
+class TestUndeclaredNames:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LatticePolicy(labels={"l"}, order={("l", "m")}, entities=set(),
+                                   labelling={}),
+             "order pair names undeclared label 'm'"),
+            (lambda: LatticePolicy(labels={"l"}, order=set(), entities=set(),
+                                   labelling={"e": "l"}),
+             "labelling names undeclared entity 'e'"),
+            (lambda: LatticePolicy(labels={"l"}, order=set(), entities={"e"},
+                                   labelling={"e": "m"}),
+             "entity 'e' carries undeclared label 'm'"),
+            (lambda: RbacPolicy(roles=set(), assignments={"r": set()}, hierarchy=set()),
+             "assignment names undeclared role 'r'"),
+            (lambda: RbacPolicy(roles={"a"}, assignments={}, hierarchy={("a", "b")}),
+             "hierarchy pair names undeclared role 'b'"),
+        ],
+        ids=["order-label", "labelling-entity", "entity-label", "assignment-role",
+             "hierarchy-role"],
+    )
+    def test_problem_names_the_undeclared_name(self, build, message):
+        with pytest.raises(ValidationError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
 class TestGrantsAreNameModePairs:
     """A grant's mode is checked at construction: a string mode used to pass
     and be read as a read grant (or, for roles, as no grant at all)."""
@@ -454,6 +481,10 @@ class TestRbacHierarchy:
         with pytest.raises(ValueError, match="unknown role"):
             rbac_seniority(rbac({"a"}, {}, set()), "zz")
 
+    def test_privileges_unknown_role(self):
+        with pytest.raises(ValueError, match=exactly("unknown role 'zz'")):
+            rbac_privileges(rbac({"a"}, {}, set()), "zz")
+
     def test_privileges_union(self):
         p = rbac(
             {"a", "b"},
@@ -681,13 +712,30 @@ class TestPolicyLoading:
             ({"kind": "rbac", "roles": ["a", "b"], "assignments": {},
               "hierarchy": [["a", "b"], ["a", 1]]},
              "hierarchy[1]: expected a [name, name] pair"),
+            ({"kind": "acl", "objects": "o", "subjects": [], "entries": {}},
+             "objects: expected an array of strings"),
+            ({"kind": "acl", "objects": ["o"], "subjects": [], "entries": {"o": "sR"}},
+             "entries.o: expected an array of [name, mode] pairs"),
+            ({"kind": "capabilities", "objects": [], "subjects": [], "entries": []},
+             "entries: expected an object"),
+            ({"kind": "lbac", "labels": [], "order": {}, "entities": [], "labelling": {}},
+             "order: expected an array of pairs"),
+            ({"kind": "lbac", "labels": ["l"], "order": [], "entities": ["e"],
+              "labelling": {"e": 1}},
+             "labelling: expected an object mapping names to names"),
         ],
-        ids=["grant-pair", "mode", "hierarchy-pair"],
+        ids=["grant-pair", "mode", "hierarchy-pair", "names", "grants", "grant-map", "pairs",
+             "name-map"],
     )
     def test_error_names_the_item_location(self, doc, message):
         with pytest.raises(SchemaError) as caught:
             policy_from_dict(doc)
         assert str(caught.value) == message
+
+    def test_translating_a_non_policy_raises(self):
+        with pytest.raises(TypeError) as caught:
+            policy_to_cr("acl")
+        assert str(caught.value) == "not a source policy: str"
 
     def test_semantic_problem_is_a_validation_error(self):
         with pytest.raises(ValidationError):

@@ -83,6 +83,11 @@ class TestEvalCondition:
 
 
 class TestConstruction:
+    def test_evaluating_a_non_condition_raises(self):
+        with pytest.raises(TypeError) as caught:
+            eval_condition("no-conflicts", A_BIDI, B_EMPTY)
+        assert str(caught.value) == "not a condition: str"
+
     def test_rule_must_discriminate(self):
         with pytest.raises(ValidationError):
             CompositionRule(NoConflicts(), Action.MERGE, Action.MERGE)
@@ -216,6 +221,22 @@ class TestRuleLoading:
         )
         assert rule.then_action is Action.APPEND_STRICT
         assert rule.else_action is Action.REJECT
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "condition: expected an object, got list"),
+            ({"type": "and", "conditions": []},
+             "condition: 'and' needs a non-empty array of conditions"),
+            ({"type": "and", "conditions": {"type": "no-conflicts"}},
+             "condition: 'and' needs a non-empty array of conditions"),
+        ],
+        ids=["not-an-object", "empty-and", "and-of-an-object"],
+    )
+    def test_malformed_condition(self, doc, message):
+        with pytest.raises(SchemaError) as caught:
+            condition_from_dict(doc)
+        assert str(caught.value) == message
 
     def test_unknown_condition_type(self):
         with pytest.raises(SchemaError, match="unknown type"):
