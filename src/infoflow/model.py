@@ -416,10 +416,12 @@ def is_lively(cr: CommonRepresentation) -> bool:
 def reachable(cr: CommonRepresentation, src: InterfaceId, dst: InterfaceId) -> bool:
     """True iff a directed walk leads from ``src`` to ``dst``; trivially true
     when they coincide.  Raises :class:`UnknownInterfaceError` if either
-    interface is undeclared.
+    interface is undeclared, and :class:`TypeError` if it is not an interface.
     """
     for iface in (src, dst):
         if iface not in cr.interfaces:
+            if not isinstance(iface, _Interface):
+                raise TypeError(f"reachable takes interfaces, got {type(iface).__name__}")
             raise UnknownInterfaceError(f"unknown interface {format_interface(iface)}")
     if src is dst:
         return True

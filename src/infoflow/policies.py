@@ -10,11 +10,14 @@ Three policy families are supported:
   translated from the privileges each role accumulates through the
   transitive closure of the hierarchy.
 
-A policy is checked when it is constructed: one that breaks an invariant of
-its family (an empty, undeclared or non-UTF-8 name, an entity or agent name
-holding ``#``, a lattice order that is not antisymmetric, a cyclic role
-hierarchy) raises :class:`ValidationError`
-listing every problem, so no invalid policy exists.  Every translation
+Each family is one class that holds its fields, its check and its
+translation.  A policy is checked when it is constructed: a field of the
+wrong type (a bare ``str`` for a set of names, a name that is not a ``str``,
+a malformed pair or grant) raises :class:`TypeError`, and one that breaks an
+invariant of its family (an empty, undeclared or non-UTF-8 name, an entity
+or agent name holding ``#``, a lattice order that is not antisymmetric, a
+cyclic role hierarchy) raises :class:`ValidationError` listing every
+problem, so no invalid policy exists.  Every translation
 therefore takes its input as valid and builds a valid
 :class:`~infoflow.model.CommonRepresentation` without the graph's check.
 """
@@ -50,6 +53,29 @@ class RbacSemantics(enum.Enum):
 Grants = frozenset[tuple[str, Mode]]
 
 
+# -- field kinds -------------------------------------------------------------
+# A kind of policy field is a (freeze, parse) pair: ``freeze`` makes a
+# constructor argument the stored value, ``parse`` reads a document's field.
+
+def _freeze_names(names: Iterable[str]) -> frozenset[str]:
+    if isinstance(names, str):  # it would pass as the set of its letters
+        raise TypeError(f"names come in a collection, got the str {names!r}")
+    frozen = frozenset(names)
+    for name in frozen:
+        if not isinstance(name, str):
+            raise TypeError(f"a name takes a str, got {name!r}")
+    return frozen
+
+
+def _freeze_pairs(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    frozen = frozenset(tuple(p) if isinstance(p, list) else p for p in pairs)
+    for pair in frozen:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise TypeError(f"a pair takes two str names, got {pair!r}")
+    return frozen
+
+
 def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> dict[str, Grants]:
     """Each key's grants as a frozenset; like an interface field, a grant that
     is not a ``(str, Mode)`` pair raises :class:`TypeError`."""
@@ -61,20 +87,83 @@ def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> dict[s
     return frozen
 
 
+def _parse_names(value: Any, where: str) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: expected an array of strings")
+    return frozenset(value)
+
+
+def _parse_pair(value: Any, where: str, n: int) -> tuple[str, str]:
+    """Item ``n`` of the array at ``where``, whose location is built only on error."""
+    if (not isinstance(value, list) or len(value) != 2
+            or not isinstance(value[0], str) or not isinstance(value[1], str)):
+        raise SchemaError(f"{where}[{n}]: expected a [name, name] pair")
+    return (value[0], value[1])
+
+
+def _parse_grants(value: Any, where: str) -> Grants:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected an array of [name, mode] pairs")
+    grants = set()
+    for n, item in enumerate(value):
+        name, text = _parse_pair(item, where, n)
+        mode = Mode._value2member_map_.get(text)
+        if mode is None:  # the location is formatted only for the error
+            mode = one_of(Mode._value2member_map_, text, f"{where}[{n}]: mode")
+        grants.add((name, mode))
+    return frozenset(grants)
+
+
+def _parse_grant_map(value: Any, where: str) -> dict[str, Grants]:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return {key: _parse_grants(item, f"{where}.{key}") for key, item in value.items()}
+
+
+def _parse_pairs(value: Any, where: str) -> frozenset[tuple[str, str]]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected an array of pairs")
+    return frozenset(_parse_pair(item, where, n) for n, item in enumerate(value))
+
+
+def _parse_str_map(value: Any, where: str) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise SchemaError(f"{where}: expected an object mapping names to names")
+    return dict(value)
+
+
+_NAMES = (_freeze_names, _parse_names)
+_PAIRS = (_freeze_pairs, _parse_pairs)
+_GRANT_MAP = (_freeze_entries, _parse_grant_map)
+_NAME_MAP = (dict, _parse_str_map)
+
+
+# -- policy families ---------------------------------------------------------
+
+class _Policy:
+    """A policy family's class gives its ``kind`` tag, its ``_fields`` (each
+    field's kind, in document order, which is the parse order), its check
+    ``_problems`` and its translation ``_to_cr``.  Construction freezes each
+    field, then raises :class:`ValidationError` listing every problem."""
+
+    kind: ClassVar[str]
+    _fields: ClassVar[dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]]]
+
+    def __post_init__(self) -> None:
+        for name, (freeze, _parse) in self._fields.items():
+            object.__setattr__(self, name, freeze(getattr(self, name)))
+        if problems := self._problems():
+            raise ValidationError("; ".join(problems))
+
+
 @dataclass(frozen=True)
-class _ListingPolicy:
+class _ListingPolicy(_Policy):
     """Permission lists: ``entries`` maps each key to a set of (name, mode) grants."""
 
     objects: frozenset[str]
     subjects: frozenset[str]
     entries: Mapping[str, Grants]
-    kind: ClassVar[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", frozenset(self.objects))
-        object.__setattr__(self, "subjects", frozenset(self.subjects))
-        object.__setattr__(self, "entries", _freeze_entries(self.entries))
-        _check_valid(self)
+    _fields = {"objects": _NAMES, "subjects": _NAMES, "entries": _GRANT_MAP}
 
 
 class AclPolicy(_ListingPolicy):
@@ -82,15 +171,27 @@ class AclPolicy(_ListingPolicy):
 
     kind = "acl"
 
+    def _problems(self) -> list[str]:
+        return _validate_listing(self, self.objects, self.subjects, "object", "subject")
+
+    def _to_cr(self, _semantics: RbacSemantics) -> CommonRepresentation:
+        return acl_to_cr(self)
+
 
 class CapabilityPolicy(_ListingPolicy):
     """Subject-keyed permission lists: entries maps subject -> {(object, mode)}."""
 
     kind = "capabilities"
 
+    def _problems(self) -> list[str]:
+        return _validate_listing(self, self.subjects, self.objects, "subject", "object")
+
+    def _to_cr(self, _semantics: RbacSemantics) -> CommonRepresentation:
+        return capability_to_cr(self)
+
 
 @dataclass(frozen=True)
-class LatticePolicy:
+class LatticePolicy(_Policy):
     """Label-dominance policy.
 
     ``order`` lists cover pairs (lower, higher); dominance is their
@@ -102,14 +203,8 @@ class LatticePolicy:
     order: frozenset[tuple[str, str]]
     entities: frozenset[str]
     labelling: Mapping[str, str]
-    kind: ClassVar[str] = "lbac"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "order", frozenset(tuple(p) for p in self.order))
-        object.__setattr__(self, "entities", frozenset(self.entities))
-        object.__setattr__(self, "labelling", dict(self.labelling))
-        _check_valid(self)
+    kind = "lbac"
+    _fields = {"labels": _NAMES, "order": _PAIRS, "entities": _NAMES, "labelling": _NAME_MAP}
 
     @cached_property
     def _closure(self) -> dict[str, frozenset[str]]:
@@ -118,9 +213,37 @@ class LatticePolicy:
         see it."""
         return _descendants(self.labels, self.order)
 
+    def _problems(self) -> list[str]:
+        problems = _check_names(self.labels, "label") + _check_interface_names(
+            self.entities, "entity")
+        for low, high in sorted(self.order):
+            for label in (low, high):
+                if label not in self.labels:
+                    problems.append(f"order pair names undeclared label {label!r}")
+        if not problems:
+            above = self._closure
+            for l1 in sorted(above):
+                for l2 in sorted(above[l1]):
+                    if l1 < l2 and l1 in above[l2]:
+                        problems.append(
+                            f"order is not antisymmetric: {l1!r} and {l2!r} dominate each other"
+                        )
+        for entity in sorted(self.entities):
+            if entity not in self.labelling:
+                problems.append(f"entity {entity!r} has no label")
+        for entity, label in sorted(self.labelling.items()):
+            if entity not in self.entities:
+                problems.append(f"labelling names undeclared entity {entity!r}")
+            if label not in self.labels:
+                problems.append(f"entity {entity!r} carries undeclared label {label!r}")
+        return problems
+
+    def _to_cr(self, _semantics: RbacSemantics) -> CommonRepresentation:
+        return lbac_to_cr(self)
+
 
 @dataclass(frozen=True)
-class RbacPolicy:
+class RbacPolicy(_Policy):
     """Role assignments plus a seniority hierarchy.
 
     A hierarchy pair (senior, junior) means the senior role inherits the
@@ -130,13 +253,8 @@ class RbacPolicy:
     roles: frozenset[str]
     assignments: Mapping[str, Grants]
     hierarchy: frozenset[tuple[str, str]]
-    kind: ClassVar[str] = "rbac"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roles", frozenset(self.roles))
-        object.__setattr__(self, "assignments", _freeze_entries(self.assignments))
-        object.__setattr__(self, "hierarchy", frozenset(tuple(p) for p in self.hierarchy))
-        _check_valid(self)
+    kind = "rbac"
+    _fields = {"roles": _NAMES, "assignments": _GRANT_MAP, "hierarchy": _PAIRS}
 
     @cached_property
     def _closure(self) -> dict[str, frozenset[str]]:
@@ -144,8 +262,33 @@ class RbacPolicy:
         Validation fills it; not a field, so equality and repr never see it."""
         return _descendants(self.roles, self.hierarchy)
 
+    def _problems(self) -> list[str]:
+        assigned = {name for grants in self.assignments.values() for name, _mode in grants}
+        problems = _check_names(self.roles, "role") + _check_interface_names(
+            assigned, "assigned object")
+        for role in sorted(self.assignments):
+            if role not in self.roles:
+                problems.append(f"assignment names undeclared role {role!r}")
+        for senior, junior in sorted(self.hierarchy):
+            for role in (senior, junior):
+                if role not in self.roles:
+                    problems.append(f"hierarchy pair names undeclared role {role!r}")
+            if senior == junior:
+                problems.append(f"role {senior!r} cannot be its own junior")
+        if not problems:
+            juniors = self._closure
+            cyclic = [role for role in juniors if role in juniors[role]]
+            if cyclic:
+                problems.append(f"hierarchy contains a cycle through {min(cyclic)!r}")
+        return problems
+
+    def _to_cr(self, semantics: RbacSemantics) -> CommonRepresentation:
+        return rbac_to_cr(self, semantics)
+
 
 SourcePolicy = AclPolicy | CapabilityPolicy | LatticePolicy | RbacPolicy
+
+_KINDS = {cls.kind: cls for cls in SourcePolicy.__args__}
 
 
 def _descendants(nodes: Iterable[str],
@@ -187,12 +330,6 @@ def _descendants(nodes: Iterable[str],
     return done
 
 
-def _check_valid(p: SourcePolicy) -> None:
-    problems = _family(p).validate(p)
-    if problems:
-        raise ValidationError("; ".join(problems))
-
-
 def _check_names(names: Collection[str], kind: str) -> list[str]:
     """One problem per empty name and per name that cannot be written as UTF-8."""
     problems = [f"empty {kind} name" for name in names if not name]
@@ -227,52 +364,6 @@ def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: fro
         for name in sorted({name for name, _mode in p.entries[key]}):
             if name not in granting:
                 problems.append(f"entry for {key!r} names undeclared {grant_kind} {name!r}")
-    return problems
-
-
-def _validate_lattice(p: LatticePolicy) -> list[str]:
-    problems = _check_names(p.labels, "label") + _check_interface_names(p.entities, "entity")
-    for low, high in sorted(p.order):
-        for label in (low, high):
-            if label not in p.labels:
-                problems.append(f"order pair names undeclared label {label!r}")
-    if not problems:
-        above = p._closure
-        for l1 in sorted(above):
-            for l2 in sorted(above[l1]):
-                if l1 < l2 and l1 in above[l2]:
-                    problems.append(
-                        f"order is not antisymmetric: {l1!r} and {l2!r} dominate each other"
-                    )
-    for entity in sorted(p.entities):
-        if entity not in p.labelling:
-            problems.append(f"entity {entity!r} has no label")
-    for entity, label in sorted(p.labelling.items()):
-        if entity not in p.entities:
-            problems.append(f"labelling names undeclared entity {entity!r}")
-        if label not in p.labels:
-            problems.append(f"entity {entity!r} carries undeclared label {label!r}")
-    return problems
-
-
-def _validate_rbac(p: RbacPolicy) -> list[str]:
-    assigned = {name for grants in p.assignments.values() for name, _mode in grants}
-    problems = _check_names(p.roles, "role") + _check_interface_names(
-        assigned, "assigned object")
-    for role in sorted(p.assignments):
-        if role not in p.roles:
-            problems.append(f"assignment names undeclared role {role!r}")
-    for senior, junior in sorted(p.hierarchy):
-        for role in (senior, junior):
-            if role not in p.roles:
-                problems.append(f"hierarchy pair names undeclared role {role!r}")
-        if senior == junior:
-            problems.append(f"role {senior!r} cannot be its own junior")
-    if not problems:
-        juniors = p._closure
-        cyclic = [role for role in juniors if role in juniors[role]]
-        if cyclic:
-            problems.append(f"hierarchy contains a cycle through {min(cyclic)!r}")
     return problems
 
 
@@ -312,11 +403,7 @@ def transpose_capabilities(p: CapabilityPolicy) -> AclPolicy:
     for subject in p.entries:
         for obj, mode in p.entries[subject]:
             by_object.setdefault(obj, set()).add((subject, mode))
-    return AclPolicy(
-        objects=p.objects,
-        subjects=p.subjects,
-        entries={obj: frozenset(pairs) for obj, pairs in by_object.items()},
-    )
+    return AclPolicy(objects=p.objects, subjects=p.subjects, entries=by_object)
 
 
 def capability_to_cr(p: CapabilityPolicy) -> CommonRepresentation:
@@ -398,54 +485,9 @@ def policy_to_cr(policy: SourcePolicy,
                  rbac_semantics: RbacSemantics = RbacSemantics.LITERAL) -> CommonRepresentation:
     """Dispatch a policy of any supported family to its translation;
     ``rbac_semantics`` applies to role policies only."""
-    return _family(policy).translate(policy, rbac_semantics)
-
-
-# -- policy file schema ------------------------------------------------------
-
-def _parse_names(value: Any, where: str) -> frozenset[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaError(f"{where}: expected an array of strings")
-    return frozenset(value)
-
-
-def _parse_pair(value: Any, where: str, n: int) -> tuple[str, str]:
-    """Item ``n`` of the array at ``where``, whose location is built only on error."""
-    if (not isinstance(value, list) or len(value) != 2
-            or not isinstance(value[0], str) or not isinstance(value[1], str)):
-        raise SchemaError(f"{where}[{n}]: expected a [name, name] pair")
-    return (value[0], value[1])
-
-
-def _parse_grants(value: Any, where: str) -> Grants:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected an array of [name, mode] pairs")
-    grants = set()
-    for n, item in enumerate(value):
-        name, text = _parse_pair(item, where, n)
-        mode = Mode._value2member_map_.get(text)
-        if mode is None:  # the location is formatted only for the error
-            mode = one_of(Mode._value2member_map_, text, f"{where}[{n}]: mode")
-        grants.add((name, mode))
-    return frozenset(grants)
-
-
-def _parse_grant_map(value: Any, where: str) -> dict[str, Grants]:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected an object")
-    return {key: _parse_grants(item, f"{where}.{key}") for key, item in value.items()}
-
-
-def _parse_pairs(value: Any, where: str) -> frozenset[tuple[str, str]]:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected an array of pairs")
-    return frozenset(_parse_pair(item, where, n) for n, item in enumerate(value))
-
-
-def _parse_str_map(value: Any, where: str) -> dict[str, str]:
-    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise SchemaError(f"{where}: expected an object mapping names to names")
-    return dict(value)
+    if not isinstance(policy, SourcePolicy):
+        raise TypeError(f"not a source policy: {type(policy).__name__}")
+    return policy._to_cr(rbac_semantics)
 
 
 def policy_from_dict(obj: Any) -> SourcePolicy:
@@ -456,52 +498,6 @@ def policy_from_dict(obj: Any) -> SourcePolicy:
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"policy: expected an object, got {type(obj).__name__}")
-    family = one_of(_FAMILIES, obj.get("kind"), "policy: kind")
-    strict_object(obj, {"kind", *family.fields}, "policy")
-    return family.cls(**{name: parse(obj[name], name) for name, parse in family.fields.items()})
-
-
-# -- policy families ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Family:
-    """What differs between policy families: the class, the document fields
-    with the parser of each (in parse order), the invariant check and the
-    translation."""
-
-    cls: type
-    fields: Mapping[str, Callable[[Any, str], Any]]
-    validate: Callable[[Any], list[str]]
-    translate: Callable[[Any, RbacSemantics], CommonRepresentation]
-
-
-_LISTING_FIELDS = {"objects": _parse_names, "subjects": _parse_names, "entries": _parse_grant_map}
-
-_FAMILIES = {
-    family.cls.kind: family
-    for family in (
-        _Family(AclPolicy, _LISTING_FIELDS,
-                lambda p: _validate_listing(p, p.objects, p.subjects, "object", "subject"),
-                lambda p, _semantics: acl_to_cr(p)),
-        _Family(CapabilityPolicy, _LISTING_FIELDS,
-                lambda p: _validate_listing(p, p.subjects, p.objects, "subject", "object"),
-                lambda p, _semantics: capability_to_cr(p)),
-        _Family(LatticePolicy,
-                {"labels": _parse_names, "order": _parse_pairs, "entities": _parse_names,
-                 "labelling": _parse_str_map},
-                _validate_lattice,
-                lambda p, _semantics: lbac_to_cr(p)),
-        _Family(RbacPolicy,
-                {"roles": _parse_names, "assignments": _parse_grant_map,
-                 "hierarchy": _parse_pairs},
-                _validate_rbac,
-                rbac_to_cr),
-    )
-}
-
-
-def _family(p: Any) -> _Family:
-    family = _FAMILIES.get(getattr(type(p), "kind", None))
-    if family is None or not isinstance(p, family.cls):
-        raise TypeError(f"not a source policy: {type(p).__name__}")
-    return family
+    cls = one_of(_KINDS, obj.get("kind"), "policy: kind")
+    strict_object(obj, {"kind", *cls._fields}, "policy")
+    return cls(**{name: parse(obj[name], name) for name, (_freeze, parse) in cls._fields.items()})

@@ -26,6 +26,7 @@ from infoflow import (
     append_strict,
     component_count,
     dumps,
+    format_interface,
     grant,
     is_lively,
     loads,
@@ -314,6 +315,13 @@ class TestReachable:
     def test_unknown_interface_raises(self):
         with pytest.raises(UnknownInterfaceError, match="c#x"):
             reachable(cr({A, B}, {Flow(A, B)}), A, C)
+
+    def test_non_interface_raises_type_error(self):
+        g = cr({A, B}, {Flow(A, B)})
+        for src, dst in ((format_interface(A), B), (A, format_interface(B))):
+            with pytest.raises(TypeError) as caught:
+                reachable(g, src, dst)
+            assert str(caught.value) == "reachable takes interfaces, got str"
 
     @given(graphs(max_interfaces=6))
     def test_agrees_with_dfs(self, g):

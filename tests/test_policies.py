@@ -6,7 +6,6 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from infoflow import policies
 from infoflow import (
     AclPolicy,
     CapabilityPolicy,
@@ -195,6 +194,43 @@ class TestGrantsAreNameModePairs:
     def test_grant_that_is_not_a_name_mode_pair_raises_type_error(self, build):
         with pytest.raises(TypeError, match="grant"):
             build()
+
+
+class TestFieldsAreTyped:
+    """A field of the wrong shape raises TypeError at construction: a bare
+    str used to pass as the set of its letters, and a name that is not a str
+    or a pair of the wrong length failed by accident, or not at all."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: AclPolicy(objects="ab", subjects=set(), entries={}),
+             "names come in a collection, got the str 'ab'"),
+            (lambda: RbacPolicy(roles={1}, assignments={}, hierarchy=set()),
+             "a name takes a str, got 1"),
+            (lambda: LatticePolicy(labels={"l", b"m"}, order=set(), entities=set(),
+                                   labelling={}),
+             "a name takes a str, got b'm'"),
+            (lambda: LatticePolicy(labels={"l"}, order={("l",)}, entities=set(), labelling={}),
+             "a pair takes two str names, got ('l',)"),
+            (lambda: RbacPolicy(roles={"a", "b"}, assignments={}, hierarchy={"ab"}),
+             "a pair takes two str names, got 'ab'"),
+            (lambda: RbacPolicy(roles={"a"}, assignments={}, hierarchy={("a", 1)}),
+             "a pair takes two str names, got ('a', 1)"),
+            (lambda: dataclasses.replace(MATRIX_POLICY, subjects="s1"),
+             "names come in a collection, got the str 's1'"),
+        ],
+        ids=["bare-str", "int-role", "bytes-label", "short-pair", "str-pair", "int-in-pair",
+             "replace-bare-str"],
+    )
+    def test_wrong_type_raises_type_error(self, build, message):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_list_pairs_are_pairs(self):
+        p = RbacPolicy(roles={"a", "b"}, assignments={}, hierarchy=[["a", "b"]])
+        assert p.hierarchy == {("a", "b")}
 
 
 class TestCapabilityTranslation:
@@ -613,8 +649,8 @@ class TestPolicyLoading:
     @pytest.mark.parametrize("kind", sorted(DOCS))
     def test_validates_once(self, monkeypatch, kind):
         calls = []
-        original = policies._check_valid
-        monkeypatch.setattr(policies, "_check_valid", lambda p: calls.append(p) or original(p))
+        original = CLASSES[kind]._problems
+        monkeypatch.setattr(CLASSES[kind], "_problems", lambda p: calls.append(p) or original(p))
         policy_to_cr(policy_from_dict(DOCS[kind]))
         assert len(calls) == 1 and type(calls[0]) is CLASSES[kind]
 
