@@ -11,15 +11,16 @@ Three policy families are supported:
   transitive closure of the hierarchy.
 
 Each family is one class that holds its fields, its check and its
-translation.  A policy is checked when it is constructed: a field of the
-wrong type (a bare ``str`` for a set of names, a name that is not a ``str``,
-a malformed pair or grant) raises :class:`TypeError`, and one that breaks an
-invariant of its family (an empty, undeclared or non-UTF-8 name, an entity
-or agent name holding ``#``, a lattice order that is not antisymmetric, a
-cyclic role hierarchy) raises :class:`ValidationError` listing every
-problem, so no invalid policy exists.  Every translation
-therefore takes its input as valid and builds a valid
-:class:`~infoflow.model.CommonRepresentation` without the graph's check.
+translation.  A policy is checked when it is constructed: a set of names
+or pairs of the wrong type (a bare ``str``, a name that is not a ``str``, an
+element that is not a pair) or a grant that is not a ``(str, Mode)`` pair
+raises :class:`TypeError`, and a field that breaks an invariant of its
+family (an empty, undeclared or non-UTF-8 name, an entity or agent name
+holding ``#``, a lattice order that is not antisymmetric, a cyclic role
+hierarchy) raises :class:`ValidationError` listing every problem, so no
+invalid policy exists.  Every translation therefore takes its input as
+valid and builds a valid :class:`~infoflow.model.CommonRepresentation`
+without the graph's check.
 """
 
 from __future__ import annotations

@@ -649,8 +649,10 @@ class TestPolicyLoading:
     @pytest.mark.parametrize("kind", sorted(DOCS))
     def test_validates_once(self, monkeypatch, kind):
         calls = []
-        original = CLASSES[kind]._problems
-        monkeypatch.setattr(CLASSES[kind], "_problems", lambda p: calls.append(p) or original(p))
+        for cls in CLASSES.values():  # a check of any family counts
+            original = cls._problems
+            monkeypatch.setattr(cls, "_problems", lambda p, original=original: calls.append(p)
+                                or original(p))
         policy_to_cr(policy_from_dict(DOCS[kind]))
         assert len(calls) == 1 and type(calls[0]) is CLASSES[kind]
 
