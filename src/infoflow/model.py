@@ -28,7 +28,9 @@ interface's printed name reads back as itself.  A graph that exists is
 valid too: the :class:`CommonRepresentation` constructor checks element
 types and that every flow endpoint is declared.  Translations and
 composites, whose parts are known to be valid, are built by :func:`_graph`,
-which skips that.
+which skips that.  A graph is a plain class, not a dataclass, so loading
+one never imports :mod:`dataclasses`; its fields cannot be reassigned, and
+a changed graph is built with the constructor, which checks it.
 
 The one piece of state a graph gains is a derived index (each flow source's
 successor list and the availability partition), reused by every query on
@@ -49,12 +51,19 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from collections.abc import Iterable, Set
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import filterfalse
 from operator import itemgetter
 
 from .errors import UnknownInterfaceError, ValidationError
+
+
+def _refuse_assignment(self: object, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self: object, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Mode(enum.Enum):
@@ -128,11 +137,8 @@ class _Interface:
 
     __slots__ = ("__weakref__", "_key")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -277,32 +283,49 @@ def format_flow(flow: Flow) -> str:
     return f"{format_interface(flow.src)} -> {format_interface(flow.dst)}"
 
 
-@dataclass(frozen=True)
 class CommonRepresentation:
     """A finite set of interfaces plus a finite set of flows between them.
 
-    An element that is not an interface or a :class:`Flow` raises
-    :class:`TypeError`, and a flow endpoint the graph does not declare
-    raises :class:`ValidationError` naming each.  Pickling and copying
-    rebuild through this check.
+    Its two fields, ``interfaces`` and ``flows``, are frozensets and cannot
+    be reassigned.  An element that is not an interface or a :class:`Flow`
+    raises :class:`TypeError`, and a flow endpoint the graph does not
+    declare raises :class:`ValidationError` naming each.  Pickling and
+    copying rebuild through this check.  Two graphs are equal, and hash
+    alike, when their fields are.
     """
 
-    interfaces: frozenset[InterfaceId] = frozenset()
-    flows: frozenset[Flow] = frozenset()
+    __match_args__ = ("interfaces", "flows")
+    interfaces: frozenset[InterfaceId]
+    flows: frozenset[Flow]
 
-    def __post_init__(self) -> None:
+    def __init__(self, interfaces: Iterable[InterfaceId] = frozenset(),
+                 flows: Iterable[Flow] = frozenset()) -> None:
         # Accept any iterables; store canonical frozensets.
-        for field, kinds in (("interfaces", (Explicit, Implicit)), ("flows", (Flow,))):
-            values = frozenset(getattr(self, field))
-            object.__setattr__(self, field, values)
+        interfaces, flows = frozenset(interfaces), frozenset(flows)
+        for field, values, kinds in (("interfaces", interfaces, (Explicit, Implicit)),
+                                     ("flows", flows, (Flow,))):
             for bad in filterfalse(kinds.__contains__, map(type, values)):
                 names = " or ".join(kind.__name__ for kind in kinds)
                 raise TypeError(f"CommonRepresentation {field} must be {names}, got {bad.__name__}")
-        interfaces = self.interfaces
-        if undeclared := sorted(filterfalse(interfaces.issuperset, self.flows), key=flow_key):
+        if undeclared := sorted(filterfalse(interfaces.issuperset, flows), key=flow_key):
             raise ValidationError("; ".join(
                 f"flow {format_flow(flow)} references undeclared interface {format_interface(end)}"
                 for flow in undeclared for end in flow if end not in interfaces))
+        vars(self).update(interfaces=interfaces, flows=flows)
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.interfaces, self.flows) == (other.interfaces, other.flows)
+
+    def __hash__(self) -> int:
+        return hash((self.interfaces, self.flows))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(interfaces={self.interfaces!r}, flows={self.flows!r})"
 
     def __reduce__(self) -> tuple:
         # Unpickling, copy and deepcopy rebuild through the constructor and

@@ -11,10 +11,11 @@ Three policy families are supported:
   transitive closure of the hierarchy.
 
 Each family is one class that holds its fields, its check and its
-translation.  A policy is checked when it is constructed: a set of names
-or pairs of the wrong type (a bare ``str``, a name that is not a ``str``, an
-element that is not a pair) or a grant that is not a ``(str, Mode)`` pair
-raises :class:`TypeError`, and a field that breaks an invariant of its
+translation.  A policy is checked when it is constructed: a field of the
+wrong type (a bare ``str`` where a set of names belongs, a map that is not
+a mapping, a name, map key or label that is not a ``str``, an element that
+is not a pair, a grant that is not a ``(str, Mode)`` pair) raises
+:class:`TypeError`, and a field that breaks an invariant of its
 family (an empty, undeclared or non-UTF-8 name, an entity or agent name
 holding ``#``, a lattice order that is not antisymmetric, a cyclic role
 hierarchy) raises :class:`ValidationError` listing every problem, so no
@@ -26,10 +27,11 @@ without the graph's check.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, ClassVar, Collection, Iterable, Mapping
+from typing import Any, Callable, ClassVar, Collection, Iterable
 
 from .errors import SchemaError, ValidationError, one_of, strict_object
 from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _is_utf8
@@ -58,13 +60,17 @@ Grants = frozenset[tuple[str, Mode]]
 # A kind of policy field is a (freeze, parse) pair: ``freeze`` makes a
 # constructor argument the stored value, ``parse`` reads a document's field.
 
+def _require_str(names: Iterable[object]) -> None:
+    for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"a name takes a str, got {name!r}")
+
+
 def _freeze_names(names: Iterable[str]) -> frozenset[str]:
     if isinstance(names, str):  # it would pass as the set of its letters
         raise TypeError(f"names come in a collection, got the str {names!r}")
     frozen = frozenset(names)
-    for name in frozen:
-        if not isinstance(name, str):
-            raise TypeError(f"a name takes a str, got {name!r}")
+    _require_str(frozen)
     return frozen
 
 
@@ -77,15 +83,28 @@ def _freeze_pairs(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]
     return frozen
 
 
+def _require_map(mapping: Mapping[str, Any]) -> None:
+    if not isinstance(mapping, Mapping):
+        raise TypeError(f"a map takes a mapping keyed by names, got {mapping!r}")
+    _require_str(mapping)
+
+
 def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> dict[str, Grants]:
     """Each key's grants as a frozenset; like an interface field, a grant that
     is not a ``(str, Mode)`` pair raises :class:`TypeError`."""
+    _require_map(entries)
     frozen = {key: frozenset(pairs) for key, pairs in entries.items()}
     for grant in chain.from_iterable(frozen.values()):
         if not (isinstance(grant, tuple) and len(grant) == 2
                 and isinstance(grant[0], str) and isinstance(grant[1], Mode)):
             raise TypeError(f"a grant takes a str name and a Mode, got {grant!r}")
     return frozen
+
+
+def _freeze_name_map(names: Mapping[str, str]) -> dict[str, str]:
+    _require_map(names)
+    _require_str(names.values())
+    return dict(names)
 
 
 def _parse_names(value: Any, where: str) -> frozenset[str]:
@@ -136,7 +155,7 @@ def _parse_str_map(value: Any, where: str) -> dict[str, str]:
 _NAMES = (_freeze_names, _parse_names)
 _PAIRS = (_freeze_pairs, _parse_pairs)
 _GRANT_MAP = (_freeze_entries, _parse_grant_map)
-_NAME_MAP = (dict, _parse_str_map)
+_NAME_MAP = (_freeze_name_map, _parse_str_map)
 
 
 # -- policy families ---------------------------------------------------------

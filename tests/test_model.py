@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import pickle
 import random
@@ -202,10 +201,17 @@ class TestValidate:
         assert refusal(Implicit, "\ud800#", "") == (
             "interface '\\ud800##' has an agent that is not UTF-8 text")
 
-    def test_replace_checks_too(self):
+    def test_copies_and_rebuilds_check_too(self):
+        # A changed graph is built with the constructor; copies and
+        # unpickling rebuild through it.  Only the unchecked builder can
+        # make the dangling graph.
         g = cr({A, B}, {Flow(A, B)})
-        with pytest.raises(ValidationError, match="undeclared interface b#x"):
-            dataclasses.replace(g, interfaces={A})
+        with pytest.raises(ValidationError, match="undeclared interface a#x$"):
+            CommonRepresentation(g.interfaces - {A}, g.flows)
+        dangling = model._graph({A}, {Flow(A, B)})
+        for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            with pytest.raises(ValidationError, match="undeclared interface b#x$"):
+                rebuild(dangling)
 
     @pytest.mark.parametrize(
         "interfaces, flows, message",
@@ -223,6 +229,37 @@ class TestValidate:
     def test_element_of_the_wrong_type_raises_type_error(self, interfaces, flows, message):
         with pytest.raises(TypeError, match=f"^CommonRepresentation {message}$"):
             cr(interfaces, flows)
+
+
+class TestGraphValue:
+    """A graph is an immutable value: equal and hashed by its two fields,
+    printed and matched by them, and never reassigned."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        g = cr({A, B}, {Flow(A, B)})
+        for name in ("interfaces", "flows", "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(g, name, frozenset())
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(g, name)
+        assert g.interfaces == {A, B} and g.flows == {(A, B)}
+
+    def test_equality_and_hash_follow_the_fields(self):
+        g = cr({A, B}, {Flow(A, B)})
+        assert g == CommonRepresentation(flows=[Flow(A, B)], interfaces=[B, A])
+        assert g != cr({A, B}) and g != cr({A, B, C}, {Flow(A, B)})
+        assert hash(g) == hash((g.interfaces, g.flows))
+        assert g != (g.interfaces, g.flows) and g.__eq__(None) is NotImplemented
+
+    def test_repr_names_the_fields(self):
+        assert repr(cr({A})) == f"CommonRepresentation(interfaces=frozenset({{{A!r}}}), flows=frozenset())"
+
+    def test_match_by_position(self):
+        match cr({A, B}, {Flow(A, B)}):
+            case CommonRepresentation(interfaces, flows):
+                assert interfaces == {A, B} and flows == {(A, B)}
+            case _:
+                pytest.fail("a graph matches its two fields by position")
 
 
 class TestGrant:

@@ -1,24 +1,126 @@
 import contextlib
+import importlib
 import io
+import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import infoflow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(infoflow.__file__).resolve().parents[1]
+
+
+def star_import():
+    namespace = {}
+    exec("from infoflow import *", namespace)
+    return set(namespace) - {"__builtins__"}
 
 
 def test_all_lists_exactly_the_public_names():
-    namespace = {}
-    exec("from infoflow import *", namespace)
-    assert sorted(set(namespace) - {"__builtins__"}) == sorted(infoflow.__all__)
+    # The package's public names are its __all__: a star import gives them,
+    # dir() lists them, and once all are read the namespace holds no other
+    # public value.
+    assert infoflow.__all__ == sorted(set(infoflow.__all__))
+    assert star_import() == set(infoflow.__all__)
+    assert dir(infoflow) == infoflow.__all__
     public = {
         name
         for name, value in vars(infoflow).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(infoflow.__all__)
+
+
+def test_each_name_is_its_home_modules_object():
+    for name in infoflow.__all__:
+        home = importlib.import_module(f"infoflow.{infoflow._HOME[name]}")
+        value = getattr(infoflow, name)
+        assert value is getattr(home, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home.__name__, name
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'infoflow' has no attribute 'nope'$"):
+        infoflow.nope
+    assert not hasattr(infoflow, "__main__")   # never imported, so never run
+
+
+def run_fresh(code: str, *args: str) -> list:
+    """Run ``code`` in a fresh interpreter that imports infoflow from this
+    tree; its last line of stdout is JSON.  The code sees ``BEFORE``, the
+    modules loaded when it started, so imports made by the host's ``site``
+    do not count, and ``added()``, the modules loaded since."""
+    prelude = ("import json, sys\nBEFORE = set(sys.modules)\n"
+               "def added():\n    return sorted(set(sys.modules) - BEFORE)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", prelude + code, *args],
+                          capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_bare_import_resolves_the_submodules():
+    names = run_fresh(
+        "import infoflow\n"
+        "print(json.dumps([infoflow.policies.__name__, infoflow.rules.__name__,\n"
+        "                  infoflow.compose.__name__, infoflow.cli.__name__]))\n")
+    assert names == ["infoflow.policies", "infoflow.rules", "infoflow.compose", "infoflow.cli"]
+
+
+# Modules that loading, querying and checking a graph do not use.
+NOT_FOR_GRAPHS = {"infoflow.policies", "infoflow.rules", "infoflow.analyze",
+                  "infoflow.compose", "dataclasses"}
+
+GRAPH = {
+    "interfaces": [{"kind": "implicit", "agent": "a", "label": "i"},
+                   {"kind": "implicit", "agent": "b", "label": "i"}],
+    "flows": [{"from": {"kind": "implicit", "agent": "a", "label": "i"},
+               "to": {"kind": "implicit", "agent": "b", "label": "i"}}],
+}
+
+POLICY = {"kind": "acl", "objects": ["o"], "subjects": ["s"], "entries": {"o": [["s", "R"]]}}
+
+
+def test_loading_and_checking_a_graph_imports_no_other_module(tmp_path):
+    path = tmp_path / "cr.json"
+    path.write_text(json.dumps(GRAPH), encoding="utf-8")
+    steps = run_fresh(
+        "import infoflow, infoflow.cli\n"
+        "steps = [added()]\n"
+        "with open(sys.argv[1], encoding='utf-8') as handle:\n"
+        "    graph = infoflow.serialize.loads(handle.read())\n"
+        "steps.append(added())\n"
+        "code = infoflow.cli.main(['check', sys.argv[1], '--lively'])\n"
+        "steps.append(added())\n"
+        "print(json.dumps([code, len(graph.flows), steps]))\n",
+        str(path))
+    code, flows, (imported, loaded, checked) = steps
+    assert code == 0 and flows == 1
+    assert "infoflow.cli" in imported and "infoflow.serialize" in imported
+    for modules in (imported, loaded, checked):
+        assert NOT_FOR_GRAPHS.isdisjoint(modules), sorted(NOT_FOR_GRAPHS & set(modules))
+
+
+def test_translate_imports_the_policies(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(POLICY), encoding="utf-8")
+    code, modules = run_fresh(
+        "import infoflow, infoflow.cli\n"
+        "code = infoflow.cli.main(['translate', sys.argv[1], '-o', sys.argv[2]])\n"
+        "print(json.dumps([code, added()]))\n",
+        str(path), str(tmp_path / "cr.json"))
+    assert code == 0
+    assert "infoflow.policies" in modules
+    assert {"infoflow.rules", "infoflow.analyze", "infoflow.compose"}.isdisjoint(modules)
 
 
 def test_readme_public_api_section_lists_exactly_all():

@@ -199,7 +199,8 @@ class TestGrantsAreNameModePairs:
 class TestFieldsAreTyped:
     """A field of the wrong shape raises TypeError at construction: a bare
     str used to pass as the set of its letters, and a name that is not a str
-    or a pair of the wrong length failed by accident, or not at all."""
+    (a map key or label included), a pair of the wrong length or a map that
+    is not a mapping failed by accident, or not at all."""
 
     @pytest.mark.parametrize(
         "build, message",
@@ -219,9 +220,24 @@ class TestFieldsAreTyped:
              "a pair takes two str names, got ('a', 1)"),
             (lambda: dataclasses.replace(MATRIX_POLICY, subjects="s1"),
              "names come in a collection, got the str 's1'"),
+            (lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries="ab"),
+             "a map takes a mapping keyed by names, got 'ab'"),
+            (lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": set(), 1: set()}),
+             "a name takes a str, got 1"),
+            (lambda: RbacPolicy(roles={"a"}, assignments={"a": set(), 1: set()}, hierarchy=set()),
+             "a name takes a str, got 1"),
+            (lambda: LatticePolicy(labels={"l"}, order=set(), entities={"e"},
+                                   labelling={"e": "l", 1: "l"}),
+             "a name takes a str, got 1"),
+            (lambda: LatticePolicy(labels={"l"}, order=set(), entities={"e"}, labelling="ab"),
+             "a map takes a mapping keyed by names, got 'ab'"),
+            (lambda: LatticePolicy(labels={"l"}, order=set(), entities={"e"},
+                                   labelling={"e": 1}),
+             "a name takes a str, got 1"),
         ],
         ids=["bare-str", "int-role", "bytes-label", "short-pair", "str-pair", "int-in-pair",
-             "replace-bare-str"],
+             "replace-bare-str", "str-entries", "int-entry-key", "int-assignment-key",
+             "int-labelling-key", "str-labelling", "int-labelling-label"],
     )
     def test_wrong_type_raises_type_error(self, build, message):
         with pytest.raises(TypeError) as caught:
