@@ -10,9 +10,10 @@ rejected the composition, 5 bad query.
 Interfaces are named on the command line as ``entity.R`` / ``entity.W``
 (explicit) or ``agent#label`` (implicit), matching the DOT node labels.
 
-A command imports only the modules it uses: every command reads or writes
-graphs, and ``translate`` also imports ``policies``, ``compose`` imports
-``rules`` and ``analyze`` imports ``analyze``.
+Importing this module loads only the graph model, the file formats and the
+errors, so a program that only loads and queries graphs pays for nothing
+else.  The parser, built on the first :func:`main` call, loads ``policies``
+and ``rules``, which own the choices of ``translate`` and ``compose``.
 """
 
 from __future__ import annotations
@@ -238,93 +239,68 @@ def _add_output(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument("-o", "--output", metavar="PATH", help=f"write {what} here instead of stdout")
 
 
-def _translate_arguments(parser: argparse.ArgumentParser) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; nothing may modify it.  argparse reads an argument's
+    choices when it is added, so building the parser imports ``policies``
+    and ``rules``, which own the choices of ``translate`` and ``compose``;
+    importing this module does not."""
     from .policies import RbacSemantics
-
-    parser.add_argument("policy", help="policy JSON file (kind: acl, capabilities, lbac, rbac)")
-    parser.add_argument(
-        "--rbac-semantics",
-        choices=[s.value for s in RbacSemantics],
-        default=RbacSemantics.LITERAL.value,
-        help="flow derivation for role policies (default: literal)",
-    )
-    _add_output(parser, "the graph")
-    parser.set_defaults(handler=_cmd_translate)
-
-
-def _compose_arguments(parser: argparse.ArgumentParser) -> None:
     from .rules import _COMPOSERS
 
-    parser.add_argument("op", choices=[*(action.value for action in _COMPOSERS), "rule"])
-    parser.add_argument("crs", nargs="+", metavar="CR", help="graph JSON files, in order")
-    parser.add_argument("--rule", dest="rule_file", metavar="RULE",
-                        help="rule JSON file (the rule op only, which requires it)")
-    _add_output(parser, "the composed graph (rule op: report stays on stdout)")
-    parser.set_defaults(handler=_cmd_compose)
-
-
-def _analyze_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("a", metavar="A")
-    parser.add_argument("b", metavar="B")
-    _add_output(parser, "the report")
-    parser.set_defaults(handler=_cmd_analyze)
-
-
-def _check_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("cr", metavar="CR")
-    parser.add_argument("--grant", nargs=2, action="append", metavar=("FROM", "TO"),
-                        help="tri-state access check")
-    parser.add_argument("--reachable", nargs=2, action="append", metavar=("FROM", "TO"),
-                        help="directed-walk existence check")
-    parser.add_argument("--lively", action="store_true",
-                        help="report whether the availability graph is one component")
-    _add_output(parser, "the report")
-    parser.set_defaults(handler=_cmd_check)
-
-
-def _export_dot_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("cr", metavar="CR")
-    _add_output(parser, "the DOT text")
-    parser.set_defaults(handler=_cmd_export_dot)
-
-
-# Each subcommand, in the order help lists them: its help line and the
-# function that adds its arguments and handler.
-_COMMANDS = {
-    "translate": ("translate a policy file into a flow graph", _translate_arguments),
-    "compose": ("fold two or more graphs left to right", _compose_arguments),
-    "analyze": ("conflict and difference report for two graphs", _analyze_arguments),
-    "check": ("run grant/reachability/liveliness queries", _check_arguments),
-    "export-dot": ("render a graph as DOT text", _export_dot_arguments),
-}
-
-
-@functools.cache
-def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The command-line parser that runs ``command``: it lists every
-    subcommand but holds the arguments of ``command`` only.  argparse reads
-    an argument's choices when it is added, and ``translate`` and
-    ``compose`` take theirs from ``policies`` and ``rules``, so a parser
-    for another command imports neither.  Built once per command and
-    process and shared by every :func:`main` call; nothing may modify it."""
     parser = argparse.ArgumentParser(
         prog="infoflow",
         description="Translate, compose, analyze and query information-flow graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=summary)
-        if name == command:
-            add_arguments(subparser)
+
+    translate = sub.add_parser("translate", help="translate a policy file into a flow graph")
+    translate.add_argument("policy", help="policy JSON file (kind: acl, capabilities, lbac, rbac)")
+    translate.add_argument(
+        "--rbac-semantics",
+        choices=[s.value for s in RbacSemantics],
+        default=RbacSemantics.LITERAL.value,
+        help="flow derivation for role policies (default: literal)",
+    )
+    _add_output(translate, "the graph")
+    translate.set_defaults(handler=_cmd_translate)
+
+    composec = sub.add_parser("compose", help="fold two or more graphs left to right")
+    composec.add_argument("op", choices=[*(action.value for action in _COMPOSERS), "rule"])
+    composec.add_argument("crs", nargs="+", metavar="CR", help="graph JSON files, in order")
+    composec.add_argument("--rule", dest="rule_file", metavar="RULE",
+                          help="rule JSON file (the rule op only, which requires it)")
+    _add_output(composec, "the composed graph (rule op: report stays on stdout)")
+    composec.set_defaults(handler=_cmd_compose)
+
+    analyzec = sub.add_parser("analyze", help="conflict and difference report for two graphs")
+    analyzec.add_argument("a", metavar="A")
+    analyzec.add_argument("b", metavar="B")
+    _add_output(analyzec, "the report")
+    analyzec.set_defaults(handler=_cmd_analyze)
+
+    check = sub.add_parser("check", help="run grant/reachability/liveliness queries")
+    check.add_argument("cr", metavar="CR")
+    check.add_argument("--grant", nargs=2, action="append", metavar=("FROM", "TO"),
+                       help="tri-state access check")
+    check.add_argument("--reachable", nargs=2, action="append", metavar=("FROM", "TO"),
+                       help="directed-walk existence check")
+    check.add_argument("--lively", action="store_true",
+                       help="report whether the availability graph is one component")
+    _add_output(check, "the report")
+    check.set_defaults(handler=_cmd_check)
+
+    export = sub.add_parser("export-dot", help="render a graph as DOT text")
+    export.add_argument("cr", metavar="CR")
+    _add_output(export, "the DOT text")
+    export.set_defaults(handler=_cmd_export_dot)
+
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse runs the subcommand named by the first positional argument,
-    # and every argument before it is an option: none is a command name.
-    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
