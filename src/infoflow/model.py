@@ -28,9 +28,14 @@ interface's printed name reads back as itself.  A graph that exists is
 valid too: the :class:`CommonRepresentation` constructor checks element
 types and that every flow endpoint is declared.  Translations and
 composites, whose parts are known to be valid, are built by :func:`_graph`,
-which skips that.  A graph is a plain class, not a dataclass, so loading
-one never imports :mod:`dataclasses`; its fields cannot be reassigned, and
-a changed graph is built with the constructor, which checks it.
+which skips that.  In the same way a translation makes its interfaces
+through :func:`_intern`, which skips the name check that the policy's own
+construction already made on every name, and its flows with
+``tuple.__new__(Flow, (src, dst))``, which skips the flow's checks: its
+endpoints are interfaces and distinct by construction.  A graph is a plain
+class, not a dataclass, so loading one never imports :mod:`dataclasses`;
+its fields cannot be reassigned, and a changed graph is built with the
+constructor, which checks it.
 
 The one piece of state a graph gains is a derived index (each flow source's
 successor list and the availability partition), reused by every query on
@@ -103,37 +108,38 @@ def _discard(dead: _Entry) -> None:
     _remove_dead_weakref(_interned, dead.key)
 
 
-def _intern(cls: type, key: InterfaceKey, values: tuple) -> _Interface:
-    """The live interface with this key, made from ``cls`` and the field
-    ``values`` if there is none.  A hit takes no lock and no name check: the
-    interface was checked when it was made.  A miss checks the names first,
-    so a refused value leaves no entry; then looking up and inserting are
-    one step under the lock, so two threads never make two interfaces for
-    one value."""
-    ref = _interned.get(key)
-    iface = None if ref is None else ref()
-    if iface is not None:
-        return iface
-    _check_names(cls, key)
+def _intern(cls: type, firsts: Iterable[str], second: Mode | str) -> dict[str, _Interface]:
+    """The live interface of ``cls`` with each of ``firsts`` as its first field
+    and ``second`` as its second, keyed by the first field.  Looking up and
+    making the whole batch is one step under the lock, so two threads never
+    make two interfaces for one value, and a hit is the live object.  A
+    missing interface is made without a name check: each caller has checked
+    the names, as the public constructors do on a miss and as a policy's
+    construction does for every name its translation makes a port of."""
+    tag, set_first, set_second = _MAKERS[cls]
+    part = second._value_ if cls is Explicit else second
+    get, made = _interned.get, {}
     with _intern_lock:
-        ref = _interned.get(key)
-        iface = None if ref is None else ref()
-        if iface is None:
-            iface = object.__new__(cls)
-            # Past the class's own ``__setattr__``, which refuses every write.
-            for name, value in zip(cls.__slots__, values):
-                object.__setattr__(iface, name, value)
-            object.__setattr__(iface, "_key", key)
-            _interned[key] = entry = _Entry(iface, _discard)
-            entry.key = key
-    return iface
+        for first in firsts:
+            key = (tag, first, part)
+            ref = get(key)
+            iface = None if ref is None else ref()
+            if iface is None:
+                iface = object.__new__(cls)
+                set_first(iface, first)
+                set_second(iface, second)
+                _set_key(iface, key)
+                _interned[key] = entry = _Entry(iface, _discard)
+                entry.key = key
+            made[first] = iface
+    return made
 
 
 class _Interface:
     """Immutable, interned interface value: its subclass names its two
-    fields in ``__slots__``, and its constructor checks their types and
-    returns the object from :func:`_intern`, which checks their names and
-    keeps its key in ``_key``."""
+    fields in ``__slots__``, and its constructor checks their types, returns
+    a live object as it is and checks the names of a new one before
+    :func:`_intern` makes it and keeps its key in ``_key``."""
 
     __slots__ = ("__weakref__", "_key")
 
@@ -169,7 +175,13 @@ class Explicit(_Interface):
                 f"and {type(mode).__name__}"
             )
         # ``_value_`` skips ``Mode.value``'s Python descriptor: 13 ns, not 200.
-        return _intern(cls, ("explicit", entity, mode._value_), (entity, mode))
+        key = ("explicit", entity, mode._value_)
+        ref = _interned.get(key)
+        iface = None if ref is None else ref()
+        if iface is None:
+            _check_names(cls, key)
+            iface = _intern(cls, (entity,), mode)[entity]
+        return iface
 
 
 class Implicit(_Interface):
@@ -186,10 +198,22 @@ class Implicit(_Interface):
                 f"Implicit takes a str agent and a str label, got {type(agent).__name__} "
                 f"and {type(label).__name__}"
             )
-        return _intern(cls, ("implicit", agent, label), (agent, label))
+        key = ("implicit", agent, label)
+        ref = _interned.get(key)
+        iface = None if ref is None else ref()
+        if iface is None:
+            _check_names(cls, key)
+            iface = _intern(cls, (agent,), label)[agent]
+        return iface
 
 
 InterfaceId = Explicit | Implicit
+
+# What :func:`_intern` makes an interface of each class with: its key's tag
+# and its slot setters, which go past ``__setattr__``, which refuses every write.
+_MAKERS = {cls: (cls.__name__.lower(), *(vars(cls)[name].__set__ for name in cls.__slots__))
+           for cls in (Explicit, Implicit)}
+_set_key = _Interface._key.__set__
 
 
 InterfaceKey = tuple[str, str, str]

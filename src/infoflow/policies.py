@@ -21,7 +21,11 @@ holding ``#``, a lattice order that is not antisymmetric, a cyclic role
 hierarchy) raises :class:`ValidationError` listing every problem, so no
 invalid policy exists.  Every translation therefore takes its input as
 valid and builds a valid :class:`~infoflow.model.CommonRepresentation`
-without the graph's check.
+without the graph's check, its interfaces without a second name check and
+its flows without the flow's checks: the names it makes ports of are the
+names construction checked (the lattice label is the constant
+:data:`LBAC_LABEL`), and each family's flow endpoints are distinct by
+construction.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from itertools import chain
 from typing import Any, Callable, ClassVar, Collection, Iterable
 
 from .errors import SchemaError, ValidationError, one_of, strict_object
-from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _is_utf8
+from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _intern, _is_utf8
 
 # Label carried by the implicit interfaces a lattice policy produces.
 LBAC_LABEL = "lbac"
@@ -387,18 +391,21 @@ def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: fro
     return problems
 
 
-def _ports(names: Iterable[str]) -> tuple[dict[str, Explicit], dict[str, Explicit]]:
-    """The R and the W interface of each name, built once and shared by every flow."""
-    reads = {name: Explicit(name, Mode.R) for name in names}
-    return reads, {name: Explicit(name, Mode.W) for name in reads}
+def _ports(names: Collection[str]) -> tuple[dict[str, Explicit], dict[str, Explicit]]:
+    """The R and the W interface of each name, built once and shared by every
+    flow; the names are ones the policy's construction checked."""
+    return _intern(Explicit, names, Mode.R), _intern(Explicit, names, Mode.W)
 
 
 def _listing_cr(p: _ListingPolicy,
                 grants: Iterable[tuple[str, str, Mode]]) -> CommonRepresentation:
-    """The graph of a permission list whose grants are (object, subject, mode)."""
+    """The graph of a permission list whose grants are (object, subject, mode).
+    Object and subject names are disjoint, so no flow is a self-flow."""
     reads, writes = _ports(p.objects | p.subjects)
+    new = tuple.__new__
     flows = {
-        Flow(reads[subject], writes[obj]) if mode is Mode.W else Flow(reads[obj], writes[subject])
+        new(Flow, (reads[subject], writes[obj])) if mode is Mode.W
+        else new(Flow, (reads[obj], writes[subject]))
         for obj, subject, mode in grants
     }
     return _graph({*reads.values(), *writes.values()}, flows)
@@ -449,10 +456,10 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
     ordered pair of distinct entities whose labels satisfy dominance gets a
     flow.  Equal labels yield flows in both directions.
     """
-    above, labelling = p._closure, p.labelling
-    ports = {e: Implicit(e, LBAC_LABEL) for e in p.entities}
+    above, labelling, new = p._closure, p.labelling, tuple.__new__
+    ports = _intern(Implicit, p.entities, LBAC_LABEL)
     flows = {
-        Flow(ports[e1], ports[e2])
+        new(Flow, (ports[e1], ports[e2]))
         for e1 in p.entities
         for e2 in p.entities
         if e1 != e2 and (labelling[e1] == labelling[e2] or labelling[e2] in above[labelling[e1]])
@@ -487,17 +494,21 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
     if not isinstance(semantics, RbacSemantics):
         raise ValueError(f"unknown semantics {semantics!r}")
     reads, writes = _ports({obj for grants in p.assignments.values() for obj, _mode in grants})
-    flows: set[Flow] = set()
     # A junior's privileges are a subset of each senior's, so roles with no
-    # senior already yield every flow.
+    # senior already yield every flow, and top roles with equal readable and
+    # writable objects yield the same ones.
+    products = set()
     for role in p.roles - {junior for _senior, junior in p.hierarchy}:
         privileges = rbac_privileges(p, role)
-        readable = {o for o, m in privileges if m is Mode.R}
-        writable = {o for o, m in privileges if m is Mode.W}
+        products.add((frozenset(o for o, m in privileges if m is Mode.R),
+                      frozenset(o for o, m in privileges if m is Mode.W)))
+    # Every flow pairs an R port with a W port, so none is a self-flow.
+    new, flows = tuple.__new__, set()
+    for readable, writable in products:
         if semantics is RbacSemantics.LITERAL:
-            flows |= {Flow(reads[o], writes[o]) for o in readable & writable}
+            flows.update(new(Flow, (reads[o], writes[o])) for o in readable & writable)
         else:
-            flows |= {Flow(reads[r], writes[w]) for r in readable for w in writable}
+            flows.update(new(Flow, (reads[r], writes[w])) for r in readable for w in writable)
     return _graph({*reads.values(), *writes.values()}, flows)
 
 

@@ -37,7 +37,11 @@ U+0000-U+001F are escaped, and a trailing newline::
 This is exactly the text of ``json.dumps(cr_to_dict(cr), indent=2,
 ensure_ascii=False) + "\\n"``; :func:`dumps` writes it directly, without
 building the dict tree.  Arrays are in canonical order (variant tag, then
-names, then mode), so serialization is deterministic byte for byte.
+names, then mode; a flow by its source, then its destination), so
+serialization is deterministic byte for byte.  Every writer takes that
+order from one sort of the interfaces, whose integer ranks then order the
+flows; keys are unique, so the bytes are those of sorting the flows' key
+pairs.
 Loading is strict: unknown or missing fields raise :class:`SchemaError`,
 and an error in one interface or flow object names its place in the
 document (``flows[3].to: ...``).  Each distinct interface object is checked
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from .errors import SchemaError, ValidationError, one_of, strict_object
 from .model import (
@@ -61,7 +65,6 @@ from .model import (
     InterfaceId,
     InterfaceKey,
     Mode,
-    flow_key,
     format_key,
     interface_key,
 )
@@ -76,11 +79,20 @@ _FIELD_SETS = {kind: frozenset(fields) for kind, fields in _FIELDS.items()}
 _FLOW_FIELDS = frozenset({"from", "to"})
 
 
-def _canonical(
-    cr: CommonRepresentation,
-) -> tuple[list[InterfaceKey], list[tuple[InterfaceKey, InterfaceKey]]]:
-    """The graph's interface keys and flow key pairs, each in canonical order."""
-    return sorted(map(interface_key, cr.interfaces)), sorted(map(flow_key, cr.flows))
+def _ranked(interfaces: Iterable[InterfaceId],
+            flows: Iterable[Flow]) -> tuple[list[InterfaceKey], list[tuple[int, list[int]]]]:
+    """The canonical order: the keys of ``interfaces`` sorted, and the ranks
+    (places in that list) of each flow source and its destinations, sources
+    in rank order and each source's destinations in rank order.  Keys are
+    unique, so ranks sort as keys do and flows come out as their key pairs
+    sort.  Every endpoint of ``flows`` must be one of ``interfaces``."""
+    ordered = sorted(interfaces, key=interface_key)
+    rank = {iface: n for n, iface in enumerate(ordered)}
+    rows: list[list[int]] = [[] for _ in ordered]
+    for src, dst in flows:
+        rows[rank[src]].append(rank[dst])
+    return ([iface._key for iface in ordered],
+            [(n, sorted(row)) for n, row in enumerate(rows) if row])
 
 
 def _key_to_dict(key: InterfaceKey) -> dict[str, str]:
@@ -107,18 +119,21 @@ def interface_from_dict(obj: Any, where: str = "interface") -> InterfaceId:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def flows_to_list(flows: Iterable[Flow]) -> list[dict[str, Any]]:
+def _flow_dicts(keys: list[InterfaceKey],
+                rows: list[tuple[int, list[int]]]) -> list[dict[str, Any]]:
+    return [{"from": _key_to_dict(keys[src]), "to": _key_to_dict(keys[dst])}
+            for src, dsts in rows for dst in dsts]
+
+
+def flows_to_list(flows: Collection[Flow]) -> list[dict[str, Any]]:
     """The document form of some flows, in canonical order: the ``flows``
     array of :func:`cr_to_dict` and of every CLI report that lists flows."""
-    return [{"from": _key_to_dict(src), "to": _key_to_dict(dst)}
-            for src, dst in sorted(map(flow_key, flows))]
+    return _flow_dicts(*_ranked({end for flow in flows for end in flow}, flows))
 
 
 def cr_to_dict(cr: CommonRepresentation) -> dict[str, Any]:
-    return {
-        "interfaces": [_key_to_dict(key) for key in sorted(map(interface_key, cr.interfaces))],
-        "flows": flows_to_list(cr.flows),
-    }
+    keys, rows = _ranked(cr.interfaces, cr.flows)
+    return {"interfaces": [_key_to_dict(key) for key in keys], "flows": _flow_dicts(keys, rows)}
 
 
 def cr_from_dict(obj: Any) -> CommonRepresentation:
@@ -153,12 +168,10 @@ def cr_from_dict(obj: Any) -> CommonRepresentation:
     return CommonRepresentation(interfaces, flows)
 
 
-def _block(key: InterfaceKey, indent: str) -> str:
-    """The interface object of ``key`` as indented JSON text, its fields at ``indent``."""
-    fields = f",\n{indent}".join(
-        f'"{name}": {encode_basestring(value)}' for name, value in zip(_FIELDS[key[0]], key)
-    )
-    return f"{{\n{indent}{fields}\n{indent[2:]}}}"
+# Each interface kind's object in the ``interfaces`` array, its fields at
+# indent 6, with a ``%s`` for each encoded name.
+_BLOCKS = {kind: f'{{\n      "kind": "{kind}",\n      "{first}": %s,\n      "{second}": %s\n    }}'
+           for kind, (_, first, second) in _FIELDS.items()}
 
 
 def _array(items: list[str]) -> str:
@@ -168,18 +181,17 @@ def _array(items: list[str]) -> str:
 
 def dumps(cr: CommonRepresentation) -> str:
     """Serialize to canonical, newline-terminated JSON text (the layout in the module docstring)."""
-    interfaces, flows = _canonical(cr)
-    endpoints = {key: _block(key, " " * 8) for key in {key for pair in flows for key in pair}}
-    return (
-        '{\n  "interfaces": '
-        + _array([_block(key, " " * 6) for key in interfaces])
-        + ',\n  "flows": '
-        + _array([
-            f'{{\n      "from": {endpoints[src]},\n      "to": {endpoints[dst]}\n    }}'
-            for src, dst in flows
-        ])
-        + "\n}\n"
-    )
+    keys, rows = _ranked(cr.interfaces, cr.flows)
+    blocks = [_BLOCKS[kind] % (encode_basestring(first), encode_basestring(second))
+              for kind, first, second in keys]
+    # A flow endpoint is the same object two more spaces in: the encoded
+    # names hold no raw newline, so only the layout's line breaks move.
+    ends = [block.replace("\n", "\n  ") for block in blocks]
+    flows: list[str] = []
+    for src, dsts in rows:
+        head = '{\n      "from": ' + ends[src] + ',\n      "to": '
+        flows += [head + ends[dst] + "\n    }" for dst in dsts]
+    return '{\n  "interfaces": ' + _array(blocks) + ',\n  "flows": ' + _array(flows) + "\n}\n"
 
 
 def decode_json(text: str, source: str = "") -> Any:
@@ -210,12 +222,10 @@ def to_dot(cr: CommonRepresentation) -> str:
     Explicit interfaces become ``entity.R`` / ``entity.W`` nodes, implicit
     ones ``agent#label``; one edge per flow, everything in canonical order.
     """
-    interfaces, flows = _canonical(cr)
+    keys, rows = _ranked(cr.interfaces, cr.flows)
+    names = [_dot_quote(format_key(key)) for key in keys]
     lines = ["digraph cr {"]
-    lines += [f"  {_dot_quote(format_key(key))};" for key in interfaces]
-    lines += [
-        f"  {_dot_quote(format_key(src))} -> {_dot_quote(format_key(dst))};"
-        for src, dst in flows
-    ]
+    lines += [f"  {name};" for name in names]
+    lines += [f"  {names[src]} -> {names[dst]};" for src, dsts in rows for dst in dsts]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from infoflow import (
     Mode,
     RbacPolicy,
 )
+from infoflow import model
 from infoflow.model import interface_key
 
 # Small shared pool so independently generated graphs overlap often.
@@ -27,10 +28,13 @@ POOL = tuple(
 
 
 def rebuilt(cr):
-    """``cr`` built again through the public constructor, whose check raises
-    unless the graph is valid; the check on every graph the library builds
-    without it."""
-    return CommonRepresentation(cr.interfaces, cr.flows)
+    """``cr`` built again through every check the library skips when it
+    builds a graph: each interface's names through the constructors' name
+    check, each flow through :class:`Flow` (so a self-flow raises), and the
+    graph through the public constructor, which raises unless it is valid."""
+    for iface in cr.interfaces:
+        model._check_names(type(iface), interface_key(iface))
+    return CommonRepresentation(cr.interfaces, {Flow(src, dst) for src, dst in cr.flows})
 
 
 def random_cr(rng, pool=POOL, max_interfaces=8, density=0.3):

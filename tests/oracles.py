@@ -4,11 +4,13 @@ Nothing here may call into infoflow's own algorithms: components are counted
 by a union-find of their own over a pairwise scan for complementary flows,
 closures come from recursive DFS started afresh at every node (the library
 finishes nodes in post-order and reuses their finished sets, without
-recursion), permission flows are enumerated triple by triple, composites are
-decided one flow at a time, and conflicts are filtered from the whole
-symmetric difference.  The one exception is the reference graph loader,
-which is the library's loader without its memo: every interface object goes
-through ``serialize.interface_from_dict`` each time it occurs.
+recursion), permission flows are enumerated triple by triple and role flows
+role by role, composites are decided one flow at a time, conflicts are
+filtered from the whole symmetric difference, and the canonical output order
+sorts key tuples built from each interface's fields.  The one exception is
+the reference graph loader, which is the library's loader without its memo:
+every interface object goes through ``serialize.interface_from_dict`` each
+time it occurs.
 """
 
 from infoflow import CommonRepresentation, Explicit, Flow, Mode, SchemaError, ValidationError
@@ -105,6 +107,27 @@ def enumerate_listing_flows(objects, subjects, granted):
     return expected
 
 
+def enumerate_role_flows(roles, assignments, hierarchy, cross_object):
+    """Expected flows of a role policy, one role at a time: every role's own
+    grants plus those of every role its :func:`dfs_closure` reaches, paired
+    object with object under cross-object semantics, else each object's R
+    with its own W."""
+    closure = dfs_closure(roles, hierarchy)
+    expected = set()
+    for role in roles:
+        held = set(assignments.get(role, ()))
+        for senior, junior in closure:
+            if senior == role:
+                held |= assignments.get(junior, set())
+        readable = {obj for obj, mode in held if mode is Mode.R}
+        writable = {obj for obj, mode in held if mode is Mode.W}
+        for r in readable:
+            for w in writable:
+                if cross_object or r == w:
+                    expected.add(Flow(Explicit(r, Mode.R), Explicit(w, Mode.W)))
+    return expected
+
+
 def composite_by_flow(op, a, b):
     """The interfaces and flows of ``op(a, b)``, ``op`` being "merge", "append"
     or "append_strict", from the README's definitions: every interface and
@@ -150,3 +173,17 @@ def strict_loads(text):
         except ValueError as exc:
             raise ValidationError(f"flows[{n}]: {exc}") from exc
     return CommonRepresentation(interfaces, flows)
+
+
+def field_key(iface):
+    """The sort key of an interface from its fields: kind tag, then names, then mode."""
+    if isinstance(iface, Explicit):
+        return ("explicit", iface.entity, iface.mode.value)
+    return ("implicit", iface.agent, iface.label)
+
+
+def canonical_order(interfaces, flows):
+    """The documented output order: the interface keys sorted, and the flows'
+    (source key, destination key) pairs sorted as tuples."""
+    return (sorted(map(field_key, interfaces)),
+            sorted((field_key(src), field_key(dst)) for src, dst in flows))

@@ -33,6 +33,7 @@ from crgen import random_acl, random_capabilities, random_cr, random_rbac
 from oracles import (
     dfs_closure,
     enumerate_listing_flows,
+    enumerate_role_flows,
     pairwise_complementary_edges,
     union_find_component_count,
 )
@@ -134,10 +135,12 @@ def test_criterion_3_composite_algebra_randomized():
 def test_criterion_4_translation_soundness_oracles():
     from infoflow import (
         LatticePolicy,
+        RbacPolicy,
         RbacSemantics,
         acl_to_cr,
         capability_to_cr,
         lbac_to_cr,
+        rbac_privileges,
         rbac_to_cr,
     )
 
@@ -170,14 +173,29 @@ def test_criterion_4_translation_soundness_oracles():
         )
         assert len(lbac_to_cr(policy).flows) == n * (n - 1) // 2
 
-    for _ in range(300):
-        policy = random_rbac(rng, max_roles=8)
+    # Two top roles with equal privileges, and two more that inherit them
+    # from one junior and hold nothing of their own.
+    shared = RbacPolicy(
+        roles={"a", "b", "c", "d", "j"},
+        assignments={"a": {("o1", R), ("o2", W)}, "b": {("o2", W), ("o1", R)}, "j": {("o3", W)}},
+        hierarchy={("c", "j"), ("d", "j")},
+    )
+    policies = [shared] + [random_rbac(rng, max_roles=8) for _ in range(300)]
+    repeated = 0
+    for policy in policies:
         assert {
             (role, junior) for role in policy.roles for junior in rbac_seniority(policy, role)
         } == dfs_closure(sorted(policy.roles), policy.hierarchy)
         literal = rbac_to_cr(policy, RbacSemantics.LITERAL)
         cross = rbac_to_cr(policy, RbacSemantics.CROSS_OBJECT)
         assert literal.flows <= cross.flows
+        for semantics, cr in ((RbacSemantics.LITERAL, literal), (RbacSemantics.CROSS_OBJECT, cross)):
+            assert cr.flows == enumerate_role_flows(
+                policy.roles, policy.assignments, policy.hierarchy,
+                semantics is RbacSemantics.CROSS_OBJECT)
+        tops = policy.roles - {junior for _senior, junior in policy.hierarchy}
+        repeated += len({rbac_privileges(policy, role) for role in tops}) < len(tops)
+    assert repeated > 1  # the shared policy and random ones
     ok(4, "list/lattice/role translations agree with independent oracles")
 
 

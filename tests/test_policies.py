@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import re
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from infoflow import model
 from infoflow import (
     AclPolicy,
     CapabilityPolicy,
@@ -659,6 +661,51 @@ def test_every_translation_equals_its_rebuild(family, rng, semantics):
     sets through it raises nothing and gives an equal graph."""
     cr = policy_to_cr(FAMILIES[family](rng), semantics)
     assert rebuilt(cr) == cr
+
+
+def fresh_policy(family):
+    """A policy of ``family`` whose names no other test uses, so that no
+    interface of its translation is alive before it runs."""
+    tag = "".join(random.choices("abcdef", k=12))
+    o, s, e, f = (f"{part}-{tag}" for part in ("obj", "subj", "ent", "ent2"))
+    return {
+        "acl": lambda: AclPolicy(objects={o}, subjects={s}, entries={o: {(s, R), (s, W)}}),
+        "capabilities": lambda: CapabilityPolicy(objects={o}, subjects={s}, entries={s: {(o, W)}}),
+        "lbac": lambda: LatticePolicy(labels={"lo", "hi"}, order={("lo", "hi")}, entities={e, f},
+                                      labelling={e: "lo", f: "hi"}),
+        "rbac": lambda: RbacPolicy(roles={"a", "b"}, assignments={"a": {(o, R)}, "b": {(s, W)}},
+                                   hierarchy={("a", "b")}),
+    }[family]()
+
+
+def by_constructor(key):
+    """The interface a public constructor returns for an interface key."""
+    kind, first, second = key
+    return Explicit(first, Mode(second)) if kind == "explicit" else Implicit(first, second)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_translations_intern_the_interfaces_the_constructors_make(family):
+    policy = fresh_policy(family)
+    semantics = RbacSemantics.CROSS_OBJECT
+    gc.collect()
+    before = set(model._interned)
+    # None alive: the translation makes them, and the constructors return them.
+    cr = policy_to_cr(policy, semantics)
+    keys = {iface._key for iface in cr.interfaces}
+    assert keys and keys.isdisjoint(before)
+    assert all(by_constructor(iface._key) is iface for iface in cr.interfaces)
+    assert all(end in cr.interfaces for flow in cr.flows for end in flow)
+    del cr
+    gc.collect()
+    assert len(model._interned) == len(before) and keys.isdisjoint(model._interned)
+    # All alive: the translation returns the objects the constructors made.
+    made = [by_constructor(key) for key in keys]
+    cr = policy_to_cr(policy, semantics)
+    assert {id(iface) for iface in cr.interfaces} == {id(iface) for iface in made}
+    del cr, made
+    gc.collect()
+    assert len(model._interned) == len(before)
 
 
 class TestPolicyLoading:

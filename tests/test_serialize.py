@@ -18,9 +18,9 @@ from infoflow import (
     loads,
     to_dot,
 )
-from infoflow.serialize import cr_from_dict, cr_to_dict
+from infoflow.serialize import cr_from_dict, cr_to_dict, flows_to_list
 from crgen import graphs
-from oracles import strict_loads
+from oracles import canonical_order, field_key, strict_loads
 
 A = Implicit("a", "x")
 B = Implicit("b", "x")
@@ -114,6 +114,43 @@ def test_canonical_ordering():
         {"kind": "explicit", "entity": "m", "mode": "W"},
         {"kind": "implicit", "agent": "z", "label": "x"},
     ]
+
+
+def document_key(obj):
+    """An interface object's field values in document order: its sort key."""
+    return tuple(obj.values())
+
+
+@given(graphs(INTERFACES))
+def test_cr_to_dict_follows_the_canonical_order(g):
+    interfaces, flows = canonical_order(g.interfaces, g.flows)
+    doc = cr_to_dict(g)
+    assert [document_key(obj) for obj in doc["interfaces"]] == interfaces
+    assert [(document_key(f["from"]), document_key(f["to"])) for f in doc["flows"]] == flows
+
+
+@given(graphs(INTERFACES))
+def test_flows_to_list_follows_the_canonical_order(g):
+    # A subset whose endpoints are not all of the graph's interfaces.
+    some = {flow for flow in g.flows if field_key(flow.src) < field_key(flow.dst)}
+    for flows in (g.flows, some):
+        expected = canonical_order((), flows)[1]
+        assert [(document_key(f["from"]), document_key(f["to"]))
+                for f in flows_to_list(flows)] == expected
+
+
+def dot_node(key):
+    kind, first, second = key
+    name = f"{first}.{second}" if kind == "explicit" else f"{first}#{second}"
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+@given(graphs(INTERFACES))
+def test_to_dot_follows_the_canonical_order(g):
+    interfaces, flows = canonical_order(g.interfaces, g.flows)
+    lines = ["digraph cr {", *(f"  {dot_node(key)};" for key in interfaces),
+             *(f"  {dot_node(src)} -> {dot_node(dst)};" for src, dst in flows), "}"]
+    assert to_dot(g) == "\n".join(lines) + "\n"
 
 
 def test_flow_ordering_by_endpoints():
