@@ -114,7 +114,7 @@ def _intern(cls: type, firsts: Iterable[str], second: Mode | str) -> dict[str, _
     making the whole batch is one step under the lock, so two threads never
     make two interfaces for one value, and a hit is the live object.  A
     missing interface is made without a name check: each caller has checked
-    the names, as the public constructors do on a miss and as a policy's
+    the names, as :func:`_lookup` does on a miss and as a policy's
     construction does for every name its translation makes a port of."""
     tag, set_first, set_second = _MAKERS[cls]
     part = second._value_ if cls is Explicit else second
@@ -135,11 +135,24 @@ def _intern(cls: type, firsts: Iterable[str], second: Mode | str) -> dict[str, _
     return made
 
 
+def _lookup(cls: type, key: InterfaceKey, first: str, second: Mode | str) -> _Interface:
+    """The live interface with this key, as a public constructor returns it.
+    A hit takes no lock and no name check: the interface was checked when it
+    was made.  A miss checks the names first, so a refused value leaves no
+    entry, then has :func:`_intern` make it."""
+    ref = _interned.get(key)
+    iface = None if ref is None else ref()
+    if iface is None:
+        _check_names(cls, key)
+        iface = _intern(cls, (first,), second)[first]
+    return iface
+
+
 class _Interface:
     """Immutable, interned interface value: its subclass names its two
-    fields in ``__slots__``, and its constructor checks their types, returns
-    a live object as it is and checks the names of a new one before
-    :func:`_intern` makes it and keeps its key in ``_key``."""
+    fields in ``__slots__``, and its constructor checks their types and
+    returns the object from :func:`_lookup`, which checks the names of a new
+    one; :func:`_intern` makes it and keeps its key in ``_key``."""
 
     __slots__ = ("__weakref__", "_key")
 
@@ -175,13 +188,7 @@ class Explicit(_Interface):
                 f"and {type(mode).__name__}"
             )
         # ``_value_`` skips ``Mode.value``'s Python descriptor: 13 ns, not 200.
-        key = ("explicit", entity, mode._value_)
-        ref = _interned.get(key)
-        iface = None if ref is None else ref()
-        if iface is None:
-            _check_names(cls, key)
-            iface = _intern(cls, (entity,), mode)[entity]
-        return iface
+        return _lookup(cls, ("explicit", entity, mode._value_), entity, mode)
 
 
 class Implicit(_Interface):
@@ -198,13 +205,7 @@ class Implicit(_Interface):
                 f"Implicit takes a str agent and a str label, got {type(agent).__name__} "
                 f"and {type(label).__name__}"
             )
-        key = ("implicit", agent, label)
-        ref = _interned.get(key)
-        iface = None if ref is None else ref()
-        if iface is None:
-            _check_names(cls, key)
-            iface = _intern(cls, (agent,), label)[agent]
-        return iface
+        return _lookup(cls, ("implicit", agent, label), agent, label)
 
 
 InterfaceId = Explicit | Implicit

@@ -286,10 +286,17 @@ class RbacPolicy(_Policy):
         Validation fills it; not a field, so equality and repr never see it."""
         return _descendants(self.roles, self.hierarchy)
 
+    @cached_property
+    def _assigned(self) -> frozenset[str]:
+        """The objects that the assignments name.  Validation checks their
+        names and fills it, and translations make ports of these and no
+        others, so an object put into ``assignments`` later gets none; not a
+        field, so equality and repr never see it."""
+        return frozenset(name for grants in self.assignments.values() for name, _mode in grants)
+
     def _problems(self) -> list[str]:
-        assigned = {name for grants in self.assignments.values() for name, _mode in grants}
         problems = _check_names(self.roles, "role") + _check_interface_names(
-            assigned, "assigned object")
+            self._assigned, "assigned object")
         for role in sorted(self.assignments):
             if role not in self.roles:
                 problems.append(f"assignment names undeclared role {role!r}")
@@ -493,18 +500,15 @@ def rbac_to_cr(p: RbacPolicy, semantics: RbacSemantics = RbacSemantics.LITERAL) 
     """
     if not isinstance(semantics, RbacSemantics):
         raise ValueError(f"unknown semantics {semantics!r}")
-    reads, writes = _ports({obj for grants in p.assignments.values() for obj, _mode in grants})
+    reads, writes = _ports(p._assigned)
     # A junior's privileges are a subset of each senior's, so roles with no
-    # senior already yield every flow, and top roles with equal readable and
-    # writable objects yield the same ones.
-    products = set()
+    # senior already yield every flow.  Every flow pairs an R port with a W
+    # port, so none is a self-flow.
+    new, flows = tuple.__new__, set()
     for role in p.roles - {junior for _senior, junior in p.hierarchy}:
         privileges = rbac_privileges(p, role)
-        products.add((frozenset(o for o, m in privileges if m is Mode.R),
-                      frozenset(o for o, m in privileges if m is Mode.W)))
-    # Every flow pairs an R port with a W port, so none is a self-flow.
-    new, flows = tuple.__new__, set()
-    for readable, writable in products:
+        readable = {o for o, m in privileges if m is Mode.R}
+        writable = {o for o, m in privileges if m is Mode.W}
         if semantics is RbacSemantics.LITERAL:
             flows.update(new(Flow, (reads[o], writes[o])) for o in readable & writable)
         else:

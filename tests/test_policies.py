@@ -708,6 +708,21 @@ def test_translations_intern_the_interfaces_the_constructors_make(family):
     assert len(model._interned) == len(before)
 
 
+@pytest.mark.parametrize("semantics", list(RbacSemantics))
+@pytest.mark.parametrize("name", ["x#y", "", "\ud800", 5], ids=["hash", "empty", "surrogate", "int"])
+def test_an_object_put_into_assignments_later_gets_no_port(name, semantics):
+    # The map field is a plain dict, but translations make ports only of
+    # the objects that construction checked.
+    policy = RbacPolicy(roles={"a"}, assignments={"a": {("o", R)}}, hierarchy=set())
+    policy.assignments["a"] = frozenset({(name, R), (name, W)})
+    with pytest.raises(KeyError):
+        rbac_to_cr(policy, semantics)
+    assert not any(key[1] == name for key in model._interned)
+    if isinstance(name, str):
+        with pytest.raises(ValidationError):
+            Explicit(name, R)
+
+
 class TestPolicyLoading:
     @pytest.mark.parametrize("kind", sorted(DOCS))
     def test_validates_once(self, monkeypatch, kind):
