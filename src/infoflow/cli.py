@@ -11,24 +11,28 @@ Interfaces are named on the command line as ``entity.R`` / ``entity.W``
 (explicit) or ``agent#label`` (implicit), matching the DOT node labels.
 
 Importing this module loads only the graph model, the file formats and the
-errors, so a program that only loads and queries graphs pays for nothing
-else.  The parser, built on the first :func:`main` call, loads ``policies``
-and ``rules``, which own the choices of ``translate`` and ``compose``.
+errors, so a program that only loads and queries graphs, or translates and
+merges policies through the library, pays for nothing else.  The parser,
+built on the first :func:`main` call, loads :mod:`argparse`, and
+``policies`` and ``rules``, which own the choices of ``translate`` and
+``compose``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import stat
 import sys
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TypeVar
 
 from . import serialize
 from .errors import SchemaError, UnknownInterfaceError, ValidationError
 from .model import Explicit, Implicit, InterfaceId, Mode, component_count, grant, reachable
+
+if TYPE_CHECKING:
+    import argparse
 
 _T = TypeVar("_T")
 
@@ -245,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     :func:`main` call; nothing may modify it.  argparse reads an argument's
     choices when it is added, so building the parser imports ``policies``
     and ``rules``, which own the choices of ``translate`` and ``compose``;
-    importing this module does not."""
+    importing this module does not, nor does it import :mod:`argparse`."""
+    import argparse
+
     from .policies import RbacSemantics
     from .rules import _COMPOSERS
 

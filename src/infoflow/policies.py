@@ -19,26 +19,40 @@ is not a pair, a grant that is not a ``(str, Mode)`` pair) raises
 family (an empty, undeclared or non-UTF-8 name, an entity or agent name
 holding ``#``, a lattice order that is not antisymmetric, a cyclic role
 hierarchy) raises :class:`ValidationError` listing every problem, so no
-invalid policy exists.  Every translation therefore takes its input as
-valid and builds a valid :class:`~infoflow.model.CommonRepresentation`
-without the graph's check, its interfaces without a second name check and
-its flows without the flow's checks: the names it makes ports of are the
-names construction checked (the lattice label is the constant
-:data:`LBAC_LABEL`), and each family's flow endpoints are distinct by
-construction.
+invalid policy exists.  :func:`policy_from_dict` parses a document's fields
+straight into their frozen, typed form and runs the same check once.
+
+A policy class is a plain class, not a dataclass, described by its
+``_fields``, so loading and translating policies never imports
+:mod:`dataclasses`.  Its fields cannot be reassigned, and its map fields
+(``entries``, ``assignments``, ``labelling``) are read-only views, so a
+policy cannot change after its check.  Pickling and copying rebuild
+through the constructor and its check, and so does ``__replace__``
+(``copy.replace`` on Python 3.13+).
+
+Every translation therefore takes its input as valid and builds a valid
+:class:`~infoflow.model.CommonRepresentation` without the graph's check,
+its interfaces without a second name check and its flows without the
+flow's checks: the names it makes ports of are the names construction
+checked (the lattice label is the constant :data:`LBAC_LABEL`), and each
+family's flow endpoints are distinct by construction.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping, Set
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations, product, repeat
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Collection, Iterable
 
 from .errors import SchemaError, ValidationError, one_of, strict_object
-from .model import CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _intern, _is_utf8
+from .model import (
+    CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _intern, _is_utf8,
+    _refuse_assignment, _refuse_deletion,
+)
 
 # Label carried by the implicit interfaces a lattice policy produces.
 LBAC_LABEL = "lbac"
@@ -93,22 +107,22 @@ def _require_map(mapping: Mapping[str, Any]) -> None:
     _require_str(mapping)
 
 
-def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> dict[str, Grants]:
-    """Each key's grants as a frozenset; like an interface field, a grant that
-    is not a ``(str, Mode)`` pair raises :class:`TypeError`."""
+def _freeze_entries(entries: Mapping[str, Iterable[tuple[str, Mode]]]) -> Mapping[str, Grants]:
+    """Each key's grants as a frozenset, in a read-only map; like an interface
+    field, a grant that is not a ``(str, Mode)`` pair raises :class:`TypeError`."""
     _require_map(entries)
     frozen = {key: frozenset(pairs) for key, pairs in entries.items()}
     for grant in chain.from_iterable(frozen.values()):
         if not (isinstance(grant, tuple) and len(grant) == 2
                 and isinstance(grant[0], str) and isinstance(grant[1], Mode)):
             raise TypeError(f"a grant takes a str name and a Mode, got {grant!r}")
-    return frozen
+    return MappingProxyType(frozen)
 
 
-def _freeze_name_map(names: Mapping[str, str]) -> dict[str, str]:
+def _freeze_name_map(names: Mapping[str, str]) -> Mapping[str, str]:
     _require_map(names)
     _require_str(names.values())
-    return dict(names)
+    return MappingProxyType(dict(names))
 
 
 def _parse_names(value: Any, where: str) -> frozenset[str]:
@@ -128,20 +142,22 @@ def _parse_pair(value: Any, where: str, n: int) -> tuple[str, str]:
 def _parse_grants(value: Any, where: str) -> Grants:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected an array of [name, mode] pairs")
-    grants = set()
+    modes, grants = Mode._value2member_map_, set()
     for n, item in enumerate(value):
-        name, text = _parse_pair(item, where, n)
-        mode = Mode._value2member_map_.get(text)
-        if mode is None:  # the location is formatted only for the error
-            mode = one_of(Mode._value2member_map_, text, f"{where}[{n}]: mode")
-        grants.add((name, mode))
+        if (isinstance(item, list) and len(item) == 2 and isinstance(name := item[0], str)
+                and isinstance(text := item[1], str) and (mode := modes.get(text)) is not None):
+            grants.add((name, mode))
+        else:  # the item's location is formatted only for its error
+            _parse_pair(item, where, n)
+            one_of(modes, item[1], f"{where}[{n}]: mode")
     return frozenset(grants)
 
 
-def _parse_grant_map(value: Any, where: str) -> dict[str, Grants]:
+def _parse_grant_map(value: Any, where: str) -> Mapping[str, Grants]:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected an object")
-    return {key: _parse_grants(item, f"{where}.{key}") for key, item in value.items()}
+    return MappingProxyType(
+        {key: _parse_grants(item, f"{where}.{key}") for key, item in value.items()})
 
 
 def _parse_pairs(value: Any, where: str) -> frozenset[tuple[str, str]]:
@@ -150,10 +166,10 @@ def _parse_pairs(value: Any, where: str) -> frozenset[tuple[str, str]]:
     return frozenset(_parse_pair(item, where, n) for n, item in enumerate(value))
 
 
-def _parse_str_map(value: Any, where: str) -> dict[str, str]:
+def _parse_str_map(value: Any, where: str) -> Mapping[str, str]:
     if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
         raise SchemaError(f"{where}: expected an object mapping names to names")
-    return dict(value)
+    return MappingProxyType(dict(value))
 
 
 _NAMES = (_freeze_names, _parse_names)
@@ -164,23 +180,77 @@ _NAME_MAP = (_freeze_name_map, _parse_str_map)
 
 # -- policy families ---------------------------------------------------------
 
+def _plain(value: Any) -> Any:
+    """A field value as the constructor takes it: a read-only map as a dict."""
+    return dict(value) if type(value) is MappingProxyType else value
+
+
 class _Policy:
     """A policy family's class gives its ``kind`` tag, its ``_fields`` (each
     field's kind, in document order, which is the parse order), its check
-    ``_problems`` and its translation ``_to_cr``.  Construction freezes each
-    field, then raises :class:`ValidationError` listing every problem."""
+    ``_problems`` and its translation ``_to_cr``.
+
+    ``_fields`` describes the whole value: the constructor takes the fields
+    by position or keyword and freezes each, :func:`policy_from_dict` parses
+    each into the frozen form, and both store them through :meth:`_store`.
+    Equality, repr, pickling and ``__replace__`` read the same table.  Two
+    policies are equal when their class and fields are; every family has a
+    map field, so no policy can be hashed.
+    """
 
     kind: ClassVar[str]
     _fields: ClassVar[dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]]]
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        for name, (freeze, _parse) in self._fields.items():
-            object.__setattr__(self, name, freeze(getattr(self, name)))
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(cls._fields)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got two values for field {field!r}")
+        values.update(kwargs)
+        if missing := [field for field in fields if field not in values]:
+            raise TypeError(f"{name}() missing field {missing[0]!r}")
+        self._store({field: freeze(values[field]) for field, (freeze, _parse) in fields.items()})
+
+    def _store(self, values: dict[str, Any]) -> None:
+        """Keep the frozen field ``values``, then raise :class:`ValidationError`
+        listing every problem the family's check finds."""
+        vars(self).update(values)
         if problems := self._problems():
             raise ValidationError("; ".join(problems))
 
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
-@dataclass(frozen=True)
+    def _values(self) -> dict[str, Any]:
+        own = vars(self)
+        return {field: own[field] for field in self._fields}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={_plain(value)!r}" for field, value in self._values().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(_plain, self._values().values()))
+
+    def __replace__(self, **changes: Any) -> _Policy:
+        return type(self)(**{**self._values(), **changes})
+
+
 class _ListingPolicy(_Policy):
     """Permission lists: ``entries`` maps each key to a set of (name, mode) grants."""
 
@@ -214,7 +284,6 @@ class CapabilityPolicy(_ListingPolicy):
         return capability_to_cr(self)
 
 
-@dataclass(frozen=True)
 class LatticePolicy(_Policy):
     """Label-dominance policy.
 
@@ -266,7 +335,6 @@ class LatticePolicy(_Policy):
         return lbac_to_cr(self)
 
 
-@dataclass(frozen=True)
 class RbacPolicy(_Policy):
     """Role assignments plus a seniority hierarchy.
 
@@ -361,9 +429,9 @@ def _descendants(nodes: Iterable[str],
     return done
 
 
-def _check_names(names: Collection[str], kind: str) -> list[str]:
-    """One problem per empty name and per name that cannot be written as UTF-8."""
-    problems = [f"empty {kind} name" for name in names if not name]
+def _check_names(names: Set[str], kind: str) -> list[str]:
+    """The problem of an empty name and one per name that cannot be written as UTF-8."""
+    problems = [f"empty {kind} name"] if "" in names else []
     # UTF-8 rejects every surrogate, paired or not, so one encode of the
     # joined names tells whether any single name fails.
     if not _is_utf8("".join(names)):
@@ -374,13 +442,16 @@ def _check_names(names: Collection[str], kind: str) -> list[str]:
     return problems
 
 
-def _check_interface_names(names: Collection[str], kind: str) -> list[str]:
+def _check_interface_names(names: Set[str], kind: str) -> list[str]:
     """:func:`_check_names` for names that become interface entities or
     agents, which also may not hold ``#``: the query token of such an
     interface would read back as a different, implicit one."""
-    return _check_names(names, kind) + [
-        f"{kind} name {name!r} contains '#'" for name in sorted(n for n in names if "#" in n)
-    ]
+    problems = _check_names(names, kind)
+    if "#" in "".join(names):  # one test of all the names; the messages only if it fails
+        problems += [
+            f"{kind} name {name!r} contains '#'" for name in sorted(n for n in names if "#" in n)
+        ]
+    return problems
 
 
 def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: frozenset[str],
@@ -389,10 +460,16 @@ def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: fro
         p.subjects, "subject")
     for name in sorted(p.objects & p.subjects):
         problems.append(f"name {name!r} is declared as both an object and a subject")
-    for key in sorted(p.entries):
+    entries = p.entries
+    # Every key and granted name declared is the common case; the sorted
+    # messages are built only when it fails.
+    if keyed_by.issuperset(entries) and granting.issuperset(
+            map(itemgetter(0), chain.from_iterable(entries.values()))):
+        return problems
+    for key in sorted(entries):
         if key not in keyed_by:
             problems.append(f"entry key {key!r} is not a declared {key_kind}")
-        for name in sorted({name for name, _mode in p.entries[key]}):
+        for name in sorted({name for name, _mode in entries[key]}):
             if name not in granting:
                 problems.append(f"entry for {key!r} names undeclared {grant_kind} {name!r}")
     return problems
@@ -463,15 +540,18 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
     ordered pair of distinct entities whose labels satisfy dominance gets a
     flow.  Equal labels yield flows in both directions.
     """
-    above, labelling, new = p._closure, p.labelling, tuple.__new__
+    above = p._closure
     ports = _intern(Implicit, p.entities, LBAC_LABEL)
-    flows = {
-        new(Flow, (ports[e1], ports[e2]))
-        for e1 in p.entities
-        for e2 in p.entities
-        if e1 != e2 and (labelling[e1] == labelling[e2] or labelling[e2] in above[labelling[e1]])
-    }
-    return _graph(ports.values(), flows)
+    members: dict[str, list[Implicit]] = {}
+    for entity, label in p.labelling.items():
+        members.setdefault(label, []).append(ports[entity])
+    # Blocks of distinct pairs: the ordered pairs within each label, and each
+    # label's entities times those of every label above it.  No pair is a
+    # self-flow, and no pair is in two blocks.
+    blocks = [permutations(group, 2) for group in members.values()]
+    blocks += [product(group, members[high])
+               for label, group in members.items() for high in above[label] if high in members]
+    return _graph(ports.values(), map(tuple.__new__, repeat(Flow), chain.from_iterable(blocks)))
 
 
 def rbac_seniority(p: RbacPolicy, role: str) -> frozenset[str]:
@@ -535,4 +615,7 @@ def policy_from_dict(obj: Any) -> SourcePolicy:
         raise SchemaError(f"policy: expected an object, got {type(obj).__name__}")
     cls = one_of(_KINDS, obj.get("kind"), "policy: kind")
     strict_object(obj, {"kind", *cls._fields}, "policy")
-    return cls(**{name: parse(obj[name], name) for name, (_freeze, parse) in cls._fields.items()})
+    # The parsers return frozen, typed values, so nothing is frozen a second time.
+    policy = object.__new__(cls)
+    policy._store({name: parse(obj[name], name) for name, (_freeze, parse) in cls._fields.items()})
+    return policy

@@ -4,16 +4,18 @@ Nothing here may call into infoflow's own algorithms: components are counted
 by a union-find of their own over a pairwise scan for complementary flows,
 closures come from recursive DFS started afresh at every node (the library
 finishes nodes in post-order and reuses their finished sets, without
-recursion), permission flows are enumerated triple by triple and role flows
-role by role, composites are decided one flow at a time, conflicts are
-filtered from the whole symmetric difference, and the canonical output order
-sorts key tuples built from each interface's fields.  The one exception is
-the reference graph loader, which is the library's loader without its memo:
-every interface object goes through ``serialize.interface_from_dict`` each
-time it occurs.
+recursion), permission flows are enumerated triple by triple, lattice flows
+entity pair by entity pair and role flows role by role, composites are
+decided one flow at a time, conflicts are filtered from the whole symmetric
+difference, and the canonical output order sorts key tuples built from each
+interface's fields.  The one exception is the reference graph loader, which
+is the library's loader without its memo: every interface object goes
+through ``serialize.interface_from_dict`` each time it occurs.
 """
 
-from infoflow import CommonRepresentation, Explicit, Flow, Mode, SchemaError, ValidationError
+from infoflow import (
+    CommonRepresentation, Explicit, Flow, Implicit, Mode, SchemaError, ValidationError,
+)
 from infoflow.errors import strict_object
 from infoflow.serialize import decode_json, interface_from_dict
 
@@ -104,6 +106,19 @@ def enumerate_listing_flows(objects, subjects, granted):
                 expected.add(Flow(Explicit(subj, Mode.R), Explicit(obj, Mode.W)))
             if granted(obj, subj, Mode.R):
                 expected.add(Flow(Explicit(obj, Mode.R), Explicit(subj, Mode.W)))
+    return expected
+
+
+def enumerate_lattice_flows(labels, order, labelling):
+    """Expected flows of a lattice policy, one ordered entity pair at a time:
+    ``e1`` flows to a distinct ``e2`` when their labels are equal or the
+    :func:`dfs_closure` of ``order`` leads from ``e1``'s label to ``e2``'s."""
+    closure = dfs_closure(labels, order)
+    expected = set()
+    for e1, l1 in labelling.items():
+        for e2, l2 in labelling.items():
+            if e1 != e2 and (l1 == l2 or (l1, l2) in closure):
+                expected.add(Flow(Implicit(e1, "lbac"), Implicit(e2, "lbac")))
     return expected
 
 

@@ -78,7 +78,7 @@ def test_a_bare_import_resolves_the_submodules():
 
 # Modules that loading and querying a graph do not use.
 NOT_FOR_GRAPHS = {"infoflow.policies", "infoflow.rules", "infoflow.analyze",
-                  "infoflow.compose", "dataclasses"}
+                  "infoflow.compose", "dataclasses", "argparse"}
 
 GRAPH = {
     "interfaces": [{"kind": "implicit", "agent": "a", "label": "i"},
@@ -106,6 +106,32 @@ def test_loading_a_graph_imports_no_other_module(tmp_path):
     assert "infoflow.cli" in imported and "infoflow.serialize" in imported
     for modules in (imported, loaded):
         assert NOT_FOR_GRAPHS.isdisjoint(modules), sorted(NOT_FOR_GRAPHS & set(modules))
+
+
+# One valid document per policy family.
+FOUNDING = [
+    POLICY,
+    {"kind": "capabilities", "objects": ["o"], "subjects": ["t"], "entries": {"t": [["o", "W"]]}},
+    {"kind": "lbac", "labels": ["lo", "hi"], "order": [["lo", "hi"]], "entities": ["e", "f"],
+     "labelling": {"e": "lo", "f": "hi"}},
+    {"kind": "rbac", "roles": ["a", "b"], "assignments": {"b": [["p", "R"], ["p", "W"]]},
+     "hierarchy": [["a", "b"]]},
+]
+
+
+def test_founding_a_federation_imports_neither_dataclasses_nor_argparse():
+    # A federation's set-up: translate each founding policy and merge the graphs.
+    flows, modules = run_fresh(
+        "import infoflow, infoflow.cli\n"
+        "graph = infoflow.model.EMPTY_CR\n"
+        "for doc in json.loads(sys.argv[1]):\n"
+        "    policy = infoflow.policies.policy_from_dict(doc)\n"
+        "    graph = infoflow.compose.merge(graph, infoflow.policies.policy_to_cr(policy))\n"
+        "print(json.dumps([len(graph.flows), added()]))\n",
+        json.dumps(FOUNDING))
+    assert flows == 4
+    assert {"infoflow.policies", "infoflow.compose"} <= set(modules)
+    assert {"dataclasses", "argparse"}.isdisjoint(modules)
 
 
 def test_translate_imports_the_policies(tmp_path):

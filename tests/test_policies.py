@@ -1,8 +1,12 @@
-import dataclasses
+import copy
 import gc
+import json
+import pickle
 import random
 import re
 import sys
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +36,7 @@ from infoflow import (
     transpose_capabilities,
 )
 from crgen import random_acl, random_capabilities, random_lattice, random_rbac, rebuilt
-from oracles import dfs_closure, enumerate_listing_flows
+from oracles import dfs_closure, enumerate_lattice_flows, enumerate_listing_flows
 
 R, W = Mode.R, Mode.W
 
@@ -143,7 +147,7 @@ class TestAclValidation:
 
     def test_replace_with_invalid_field_raises(self):
         with pytest.raises(ValidationError, match="both"):
-            dataclasses.replace(MATRIX_POLICY, subjects={"o1"})
+            MATRIX_POLICY.__replace__(subjects={"o1"})
 
 
 class TestUndeclaredNames:
@@ -188,7 +192,7 @@ class TestGrantsAreNameModePairs:
             lambda: CapabilityPolicy(objects={"o"}, subjects={"s"}, entries={"s": {("o", "R")}}),
             lambda: RbacPolicy(roles={"r"}, assignments={"r": {("o", "R"), ("o", "W")}},
                                hierarchy=set()),
-            lambda: dataclasses.replace(MATRIX_POLICY, entries={"o1": {("s1", "W")}}),
+            lambda: MATRIX_POLICY.__replace__(entries={"o1": {("s1", "W")}}),
         ],
         ids=["acl-str-mode", "acl-unknown-mode", "acl-str-grant", "acl-triple", "acl-int-name",
              "capabilities-str-mode", "rbac-str-modes", "replace-str-mode"],
@@ -220,7 +224,7 @@ class TestFieldsAreTyped:
              "a pair takes two str names, got 'ab'"),
             (lambda: RbacPolicy(roles={"a"}, assignments={}, hierarchy={("a", 1)}),
              "a pair takes two str names, got ('a', 1)"),
-            (lambda: dataclasses.replace(MATRIX_POLICY, subjects="s1"),
+            (lambda: MATRIX_POLICY.__replace__(subjects="s1"),
              "names come in a collection, got the str 's1'"),
             (lambda: AclPolicy(objects={"o"}, subjects={"s"}, entries="ab"),
              "a map takes a mapping keyed by names, got 'ab'"),
@@ -450,6 +454,13 @@ class TestLbacTranslation:
         p = lattice({"A": "low", "B": "high"}, [("low", "high")])
         cr = lbac_to_cr(p)
         assert rebuilt(cr) == cr
+
+    @given(rng=st.randoms(use_true_random=False))
+    def test_flows_match_the_pairwise_oracle(self, rng):
+        p = random_lattice(rng, max_labels=6, max_entities=12)
+        cr = lbac_to_cr(p)
+        assert cr.flows == enumerate_lattice_flows(p.labels, p.order, p.labelling)
+        assert cr.interfaces == {Implicit(e, "lbac") for e in p.entities}
 
 
 def rbac(roles, assignments, hierarchy):
@@ -711,16 +722,142 @@ def test_translations_intern_the_interfaces_the_constructors_make(family):
 @pytest.mark.parametrize("semantics", list(RbacSemantics))
 @pytest.mark.parametrize("name", ["x#y", "", "\ud800", 5], ids=["hash", "empty", "surrogate", "int"])
 def test_an_object_put_into_assignments_later_gets_no_port(name, semantics):
-    # The map field is a plain dict, but translations make ports only of
-    # the objects that construction checked.
-    policy = RbacPolicy(roles={"a"}, assignments={"a": {("o", R)}}, hierarchy=set())
-    policy.assignments["a"] = frozenset({(name, R), (name, W)})
-    with pytest.raises(KeyError):
-        rbac_to_cr(policy, semantics)
+    # The map field is read-only, so no object the construction did not
+    # check reaches a translation.
+    policy = RbacPolicy(roles={"a"}, assignments={"a": {("o", R), ("o", W)}}, hierarchy=set())
+    before = rbac_to_cr(policy, semantics)
+    with pytest.raises(TypeError):
+        policy.assignments["a"] = frozenset({(name, R), (name, W)})
+    assert rbac_to_cr(policy, semantics) == before
     assert not any(key[1] == name for key in model._interned)
     if isinstance(name, str):
         with pytest.raises(ValidationError):
             Explicit(name, R)
+
+
+def document(policy):
+    """The JSON document of ``policy``: sets and pairs as arrays, modes as their letters."""
+    def plain(value):
+        if isinstance(value, Mode):
+            return value.value
+        if isinstance(value, str):
+            return value
+        if isinstance(value, Mapping):
+            return {key: plain(item) for key, item in value.items()}
+        return [plain(item) for item in value]
+    return json.loads(json.dumps(
+        {"kind": policy.kind, **{field: plain(getattr(policy, field))
+                                 for field in policy.__match_args__}}))
+
+
+class TestPolicyValue:
+    """A policy is an immutable value: built only through its checks, equal
+    by class and fields, printed by its fields, and rebuilt when copied."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(rng=st.randoms(use_true_random=False))
+    def test_its_document_loads_as_an_equal_policy(self, family, rng):
+        policy = FAMILIES[family](rng)
+        loaded = policy_from_dict(document(policy))
+        assert loaded == policy and type(loaded) is type(policy)
+        assert policy_to_cr(loaded) == policy_to_cr(policy)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(rng=st.randoms(use_true_random=False))
+    def test_pickle_and_copies_are_equal(self, family, rng):
+        policy = FAMILIES[family](rng)
+        copies = [pickle.loads(pickle.dumps(policy, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in [*copies, copy.copy(policy), copy.deepcopy(policy), policy.__replace__()]:
+            assert copied == policy and copied is not policy
+
+    def test_unpickling_checks_the_policy(self):
+        # Only a forgery past the constructor can hold this; the constructor refuses it.
+        forged = object.__new__(AclPolicy)
+        vars(forged).update(objects=frozenset({"x"}), subjects=frozenset({"x"}),
+                            entries=MappingProxyType({}))
+        message = exactly("name 'x' is declared as both an object and a subject")
+        with pytest.raises(ValidationError, match=message):
+            pickle.loads(pickle.dumps(forged))
+        with pytest.raises(ValidationError, match=message):
+            copy.copy(forged)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for name in ("objects", "entries", "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(MATRIX_POLICY, name, frozenset())
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(MATRIX_POLICY, name)
+
+    @pytest.mark.parametrize("policy, field", [
+        (MATRIX_POLICY, "entries"),
+        (CapabilityPolicy(objects={"o"}, subjects={"s"}, entries={"s": {("o", R)}}), "entries"),
+        (RbacPolicy(roles={"a"}, assignments={"a": {("o", R)}}, hierarchy=set()), "assignments"),
+        (LatticePolicy(labels={"l"}, order=set(), entities={"e"}, labelling={"e": "l"}),
+         "labelling"),
+    ], ids=["acl", "capabilities", "rbac", "lbac"])
+    def test_map_fields_are_read_only(self, policy, field):
+        mapping, before = getattr(policy, field), repr(policy)
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):
+            mapping.clear()
+        assert repr(policy) == before
+
+    def test_equality_follows_class_and_fields(self):
+        fields = {"objects": {"o"}, "subjects": {"s"}, "entries": {"o": {("s", R)}}}
+        acl = AclPolicy(**fields)
+        assert acl == AclPolicy({"o"}, {"s"}, {"o": [("s", R)]})
+        bare = {**fields, "entries": {}}
+        assert acl != AclPolicy(**bare)
+        assert AclPolicy(**bare) != CapabilityPolicy(**bare)  # same fields, another family
+        assert acl.__eq__(fields) is NotImplemented
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(acl)
+
+    def test_repr_names_the_fields(self):
+        assert repr(AclPolicy(objects={"o"}, subjects={"s"}, entries={"o": {("s", R)}})) == (
+            "AclPolicy(objects=frozenset({'o'}), subjects=frozenset({'s'}), "
+            "entries={'o': frozenset({('s', <Mode.R: 'R'>)})})")
+        assert repr(LatticePolicy(labels={"l"}, order=set(), entities={"e"},
+                                  labelling={"e": "l"})) == (
+            "LatticePolicy(labels=frozenset({'l'}), order=frozenset(), "
+            "entities=frozenset({'e'}), labelling={'e': 'l'})")
+
+    def test_match_by_position(self):
+        match rbac({"a"}, {"a": {("o", R)}}, set()):
+            case RbacPolicy(roles, assignments, hierarchy):
+                assert roles == {"a"} and assignments == {"a": {("o", R)}} and hierarchy == set()
+            case _:
+                pytest.fail("a policy matches its fields by position")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: AclPolicy({"o"}, {"s"}), "AclPolicy() missing field 'entries'"),
+            (lambda: AclPolicy({"o"}, {"s"}, {}, {}),
+             "AclPolicy() takes 3 fields but 4 were given"),
+            (lambda: RbacPolicy(roles=set(), assignments={}, hierarchy=set(), owner="a"),
+             "RbacPolicy() got an unexpected field 'owner'"),
+            (lambda: LatticePolicy({"l"}, set(), set(), {}, labels={"l"}),
+             "LatticePolicy() got two values for field 'labels'"),
+            (lambda: MATRIX_POLICY.__replace__(owner="s1"),
+             "AclPolicy() got an unexpected field 'owner'"),
+        ],
+        ids=["missing", "too-many", "unknown", "twice", "replace-unknown"],
+    )
+    def test_constructor_takes_each_field_once(self, build, message):
+        with pytest.raises(TypeError, match=exactly(message)):
+            build()
+
+    def test_replace_changes_only_the_named_fields(self):
+        changed = MATRIX_POLICY.__replace__(entries={"o1": {("s2", W)}})
+        assert changed == AclPolicy(MATRIX_POLICY.objects, MATRIX_POLICY.subjects,
+                                    {"o1": {("s2", W)}})
+        assert MATRIX_POLICY.entries["o1"] == {("s1", R), ("s3", R), ("s3", W)}
 
 
 class TestPolicyLoading:
