@@ -44,7 +44,6 @@ import enum
 from collections.abc import Mapping, Set
 from functools import cached_property
 from itertools import chain, permutations, product, repeat
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Collection, Iterable
 
@@ -142,14 +141,13 @@ def _parse_pair(value: Any, where: str, n: int) -> tuple[str, str]:
 def _parse_grants(value: Any, where: str) -> Grants:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected an array of [name, mode] pairs")
-    modes, grants = Mode._value2member_map_, set()
+    grants = set()
     for n, item in enumerate(value):
-        if (isinstance(item, list) and len(item) == 2 and isinstance(name := item[0], str)
-                and isinstance(text := item[1], str) and (mode := modes.get(text)) is not None):
-            grants.add((name, mode))
-        else:  # the item's location is formatted only for its error
-            _parse_pair(item, where, n)
-            one_of(modes, item[1], f"{where}[{n}]: mode")
+        name, text = _parse_pair(item, where, n)
+        mode = Mode._value2member_map_.get(text)
+        if mode is None:  # the location is formatted only for the error
+            mode = one_of(Mode._value2member_map_, text, f"{where}[{n}]: mode")
+        grants.add((name, mode))
     return frozenset(grants)
 
 
@@ -460,16 +458,10 @@ def _validate_listing(p: _ListingPolicy, keyed_by: frozenset[str], granting: fro
         p.subjects, "subject")
     for name in sorted(p.objects & p.subjects):
         problems.append(f"name {name!r} is declared as both an object and a subject")
-    entries = p.entries
-    # Every key and granted name declared is the common case; the sorted
-    # messages are built only when it fails.
-    if keyed_by.issuperset(entries) and granting.issuperset(
-            map(itemgetter(0), chain.from_iterable(entries.values()))):
-        return problems
-    for key in sorted(entries):
+    for key in sorted(p.entries):
         if key not in keyed_by:
             problems.append(f"entry key {key!r} is not a declared {key_kind}")
-        for name in sorted({name for name, _mode in entries[key]}):
+        for name in sorted({name for name, _mode in p.entries[key]}):
             if name not in granting:
                 problems.append(f"entry for {key!r} names undeclared {grant_kind} {name!r}")
     return problems
@@ -546,11 +538,13 @@ def lbac_to_cr(p: LatticePolicy) -> CommonRepresentation:
     for entity, label in p.labelling.items():
         members.setdefault(label, []).append(ports[entity])
     # Blocks of distinct pairs: the ordered pairs within each label, and each
-    # label's entities times those of every label above it.  No pair is a
-    # self-flow, and no pair is in two blocks.
+    # label's entities times those of every other label above it.  An order
+    # pair (l, l) puts ``l`` above itself, so the label itself is skipped:
+    # no pair is a self-flow, and no pair is in two blocks.
     blocks = [permutations(group, 2) for group in members.values()]
     blocks += [product(group, members[high])
-               for label, group in members.items() for high in above[label] if high in members]
+               for label, group in members.items()
+               for high in above[label] if high != label and high in members]
     return _graph(ports.values(), map(tuple.__new__, repeat(Flow), chain.from_iterable(blocks)))
 
 
@@ -615,7 +609,13 @@ def policy_from_dict(obj: Any) -> SourcePolicy:
         raise SchemaError(f"policy: expected an object, got {type(obj).__name__}")
     cls = one_of(_KINDS, obj.get("kind"), "policy: kind")
     strict_object(obj, {"kind", *cls._fields}, "policy")
-    # The parsers return frozen, typed values, so nothing is frozen a second time.
+    # The parsers return frozen, typed values, so nothing is frozen a second
+    # time.  Only a map's keys are left: a dict, unlike JSON, may hold a key
+    # that is not a str, which raises the constructor's TypeError.
+    values = {name: parse(obj[name], name) for name, (_freeze, parse) in cls._fields.items()}
+    for value in values.values():
+        if type(value) is MappingProxyType:
+            _require_str(value)
     policy = object.__new__(cls)
-    policy._store({name: parse(obj[name], name) for name, (_freeze, parse) in cls._fields.items()})
+    policy._store(values)
     return policy

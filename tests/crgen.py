@@ -104,11 +104,12 @@ def random_rbac(rng, max_roles=8, max_objects=4):
 
 def random_lattice(rng, max_labels=5, max_entities=6):
     labels = [f"l{i}" for i in range(rng.randint(1, max_labels))]
-    # Pairs only from lower to higher index, so the order is antisymmetric.
+    # Pairs only from a label to itself or to a higher index, so the order
+    # is antisymmetric; a pair (l, l) is valid and adds no dominance.
     order = {
         (labels[i], labels[j])
         for i in range(len(labels))
-        for j in range(i + 1, len(labels))
+        for j in range(i, len(labels))
         if rng.random() < 0.3
     }
     entities = [f"e{i}" for i in range(1, rng.randint(1, max_entities) + 1)]

@@ -455,6 +455,14 @@ class TestLbacTranslation:
         cr = lbac_to_cr(p)
         assert rebuilt(cr) == cr
 
+    def test_a_label_ordered_below_itself_gives_no_self_flow(self):
+        # (l, l) is antisymmetric, so it is valid; it puts l among its own
+        # dominators, which must not pair an entity with itself.
+        cr = lbac_to_cr(lattice({"A": "l", "B": "l"}, [("l", "l")]))
+        assert cr.flows == {Flow(Implicit("A", "lbac"), Implicit("B", "lbac")),
+                            Flow(Implicit("B", "lbac"), Implicit("A", "lbac"))}
+        assert rebuilt(cr) == cr
+
     @given(rng=st.randoms(use_true_random=False))
     def test_flows_match_the_pairwise_oracle(self, rng):
         p = random_lattice(rng, max_labels=6, max_entities=12)
@@ -984,6 +992,24 @@ class TestPolicyLoading:
         with pytest.raises(SchemaError) as caught:
             policy_from_dict(doc)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "acl", "objects": ["o"], "subjects": ["s"], "entries": {1: []}},
+            {"kind": "capabilities", "objects": ["o"], "subjects": ["s"],
+             "entries": {"s": [], 1: []}},
+            {"kind": "rbac", "roles": ["a"], "assignments": {"a": [], 1: []}, "hierarchy": []},
+            {"kind": "lbac", "labels": ["l"], "order": [], "entities": ["e"],
+             "labelling": {"e": "l", 1: "l"}},
+        ],
+        ids=["acl", "capabilities", "rbac", "lbac"],
+    )
+    def test_a_map_key_that_is_not_a_str_raises_the_constructors_error(self, doc):
+        # JSON keys are str; a dict passed in by a caller may hold others.
+        with pytest.raises(TypeError) as caught:
+            policy_from_dict(doc)
+        assert str(caught.value) == "a name takes a str, got 1"
 
     def test_translating_a_non_policy_raises(self):
         with pytest.raises(TypeError) as caught:
