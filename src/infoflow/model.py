@@ -32,10 +32,10 @@ which skips that.  In the same way a translation makes its interfaces
 through :func:`_intern`, which skips the name check that the policy's own
 construction already made on every name, and its flows with
 ``tuple.__new__(Flow, (src, dst))``, which skips the flow's checks: its
-endpoints are interfaces and distinct by construction.  A graph is a plain
-class, not a dataclass, so loading one never imports :mod:`dataclasses`;
-its fields cannot be reassigned, and a changed graph is built with the
-constructor, which checks it.
+endpoints are interfaces and distinct by construction.  A graph's fields
+cannot be reassigned, and a changed graph is built with the constructor,
+which checks it.  Graphs, policies and rules are values of :class:`_Record`,
+not dataclasses, so the package never imports :mod:`dataclasses`.
 
 The one piece of state a graph gains is a derived index (each flow source's
 successor list and the availability partition), reused by every query on
@@ -59,6 +59,8 @@ from collections.abc import Iterable, Set
 from functools import cached_property
 from itertools import filterfalse
 from operator import itemgetter
+from types import MappingProxyType
+from typing import Any, Callable, ClassVar
 
 from .errors import UnknownInterfaceError, ValidationError
 
@@ -69,6 +71,76 @@ def _refuse_assignment(self: object, name: str, value: object) -> None:
 
 def _refuse_deletion(self: object, name: str) -> None:
     raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record:
+    """An immutable value whose class's ``_fields`` gives each field's kind,
+    in order, as a (freeze, parse) pair: ``freeze`` makes a constructor
+    argument the stored value, and ``parse``, None for a field no document
+    holds, reads the field from a document.  The constructor takes the
+    fields by position or keyword and stores them frozen through
+    :meth:`_store`, which runs the class's check ``_problems``.  Equality,
+    hash, repr, ``__match_args__``, pickling and ``__replace__`` read the
+    same table, so two values are equal when their class and fields are,
+    and copies rebuild through the constructor.  No field can be assigned
+    or deleted."""
+
+    _fields: ClassVar[dict[str, tuple[Callable[[Any], Any], Any]]] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls._fields)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got two values for field {field!r}")
+        values.update(kwargs)
+        if missing := [field for field in fields if field not in values]:
+            raise TypeError(f"{name}() missing field {missing[0]!r}")
+        self._store({field: freeze(values[field]) for field, (freeze, _parse) in fields.items()})
+
+    def _store(self, values: dict[str, Any]) -> None:
+        """Keep the frozen ``values``, then raise :class:`ValidationError` listing any problems."""
+        vars(self).update(values)
+        if problems := self._problems():
+            raise ValidationError("; ".join(problems))
+
+    def _problems(self) -> list[str]:
+        return []
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def _values(self) -> tuple:
+        """The fields as the constructor takes them: a read-only map as a dict."""
+        own = vars(self)
+        return tuple(dict(value) if type(value) is MappingProxyType else value
+                     for value in map(own.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={value!r}"
+                           for field, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __replace__(self, **changes: Any) -> _Record:
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
 
 class Mode(enum.Enum):
@@ -308,20 +380,21 @@ def format_flow(flow: Flow) -> str:
     return f"{format_interface(flow.src)} -> {format_interface(flow.dst)}"
 
 
-class CommonRepresentation:
+class CommonRepresentation(_Record):
     """A finite set of interfaces plus a finite set of flows between them.
 
     Its two fields, ``interfaces`` and ``flows``, are frozensets and cannot
     be reassigned.  An element that is not an interface or a :class:`Flow`
     raises :class:`TypeError`, and a flow endpoint the graph does not
-    declare raises :class:`ValidationError` naming each.  Pickling and
-    copying rebuild through this check.  Two graphs are equal, and hash
-    alike, when their fields are.
+    declare raises :class:`ValidationError` naming each.  Pickling, copying
+    and ``__replace__`` rebuild through this check.  Two graphs are equal,
+    and hash alike, when their fields are.
     """
 
-    __match_args__ = ("interfaces", "flows")
     interfaces: frozenset[InterfaceId]
     flows: frozenset[Flow]
+    # The constructor freezes and checks the two fields together, so they have no kinds.
+    _fields = dict.fromkeys(("interfaces", "flows"))
 
     def __init__(self, interfaces: Iterable[InterfaceId] = frozenset(),
                  flows: Iterable[Flow] = frozenset()) -> None:
@@ -337,25 +410,6 @@ class CommonRepresentation:
                 f"flow {format_flow(flow)} references undeclared interface {format_interface(end)}"
                 for flow in undeclared for end in flow if end not in interfaces))
         vars(self).update(interfaces=interfaces, flows=flows)
-
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.interfaces, self.flows) == (other.interfaces, other.flows)
-
-    def __hash__(self) -> int:
-        return hash((self.interfaces, self.flows))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(interfaces={self.interfaces!r}, flows={self.flows!r})"
-
-    def __reduce__(self) -> tuple:
-        # Unpickling, copy and deepcopy rebuild through the constructor and
-        # its check; the index is left behind.
-        return type(self), (self.interfaces, self.flows)
 
     @cached_property
     def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:

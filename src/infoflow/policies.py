@@ -22,13 +22,10 @@ hierarchy) raises :class:`ValidationError` listing every problem, so no
 invalid policy exists.  :func:`policy_from_dict` parses a document's fields
 straight into their frozen, typed form and runs the same check once.
 
-A policy class is a plain class, not a dataclass, described by its
-``_fields``, so loading and translating policies never imports
-:mod:`dataclasses`.  Its fields cannot be reassigned, and its map fields
-(``entries``, ``assignments``, ``labelling``) are read-only views, so a
-policy cannot change after its check.  Pickling and copying rebuild
-through the constructor and its check, and so does ``__replace__``
-(``copy.replace`` on Python 3.13+).
+A policy is a :class:`~infoflow.model._Record`: its fields cannot be
+reassigned, its map fields (``entries``, ``assignments``, ``labelling``) are
+read-only views, and copies rebuild through the constructor, so a policy
+cannot change after its check.
 
 Every translation therefore takes its input as valid and builds a valid
 :class:`~infoflow.model.CommonRepresentation` without the graph's check,
@@ -45,12 +42,11 @@ from collections.abc import Mapping, Set
 from functools import cached_property
 from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Collection, Iterable
+from typing import Any, ClassVar, Collection, Iterable
 
-from .errors import SchemaError, ValidationError, one_of, strict_object
+from .errors import SchemaError, one_of, strict_object
 from .model import (
-    CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _intern, _is_utf8,
-    _refuse_assignment, _refuse_deletion,
+    CommonRepresentation, Explicit, Flow, Implicit, Mode, _graph, _intern, _is_utf8, _Record,
 )
 
 # Label carried by the implicit interfaces a lattice policy produces.
@@ -178,75 +174,13 @@ _NAME_MAP = (_freeze_name_map, _parse_str_map)
 
 # -- policy families ---------------------------------------------------------
 
-def _plain(value: Any) -> Any:
-    """A field value as the constructor takes it: a read-only map as a dict."""
-    return dict(value) if type(value) is MappingProxyType else value
-
-
-class _Policy:
-    """A policy family's class gives its ``kind`` tag, its ``_fields`` (each
-    field's kind, in document order, which is the parse order), its check
-    ``_problems`` and its translation ``_to_cr``.
-
-    ``_fields`` describes the whole value: the constructor takes the fields
-    by position or keyword and freezes each, :func:`policy_from_dict` parses
-    each into the frozen form, and both store them through :meth:`_store`.
-    Equality, repr, pickling and ``__replace__`` read the same table.  Two
-    policies are equal when their class and fields are; every family has a
-    map field, so no policy can be hashed.
-    """
+class _Policy(_Record):
+    """A family's class gives its ``kind`` tag, its ``_fields`` in document
+    order, which is the parse order, its check ``_problems`` and its
+    translation ``_to_cr``; each has a map field, so none can be hashed."""
 
     kind: ClassVar[str]
-    _fields: ClassVar[dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]]]
     __hash__ = None
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.__match_args__ = tuple(cls._fields)
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        fields, name = self._fields, type(self).__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for field in kwargs:
-            if field not in fields:
-                raise TypeError(f"{name}() got an unexpected field {field!r}")
-            if field in values:
-                raise TypeError(f"{name}() got two values for field {field!r}")
-        values.update(kwargs)
-        if missing := [field for field in fields if field not in values]:
-            raise TypeError(f"{name}() missing field {missing[0]!r}")
-        self._store({field: freeze(values[field]) for field, (freeze, _parse) in fields.items()})
-
-    def _store(self, values: dict[str, Any]) -> None:
-        """Keep the frozen field ``values``, then raise :class:`ValidationError`
-        listing every problem the family's check finds."""
-        vars(self).update(values)
-        if problems := self._problems():
-            raise ValidationError("; ".join(problems))
-
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
-
-    def _values(self) -> dict[str, Any]:
-        own = vars(self)
-        return {field: own[field] for field in self._fields}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={_plain(value)!r}" for field, value in self._values().items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(map(_plain, self._values().values()))
-
-    def __replace__(self, **changes: Any) -> _Policy:
-        return type(self)(**{**self._values(), **changes})
 
 
 class _ListingPolicy(_Policy):

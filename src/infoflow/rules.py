@@ -13,18 +13,20 @@ otherwise append" becomes::
 Conditions are evaluated against the conflict set of the two operands.  An
 empty conflict set satisfies ConflictsComplementaryIn vacuously; in
 particular, graphs sharing no interfaces have no conflicts at all, so a
-no-conflicts rule picks its then-branch for them.
+no-conflicts rule picks its then-branch for them.  Each condition kind is
+described once, in its class, and every value here is a
+:class:`~infoflow.model._Record`, checked when built, copied or unpickled.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Optional
+from collections.abc import Set
+from typing import Any, Callable, ClassVar, Optional
 
 from . import analyze, compose
-from .errors import SchemaError, ValidationError, one_of, strict_object
-from .model import CommonRepresentation, Flow
+from .errors import SchemaError, one_of, strict_object
+from .model import CommonRepresentation, Flow, _Record
 
 MAX_CONDITION_DEPTH = 16
 
@@ -41,64 +43,117 @@ class Action(enum.Enum):
     REJECT = "reject"
 
 
-def _expect(value: Any, kind: Any, what: str) -> None:
-    """Raise :class:`TypeError` unless ``value`` is a ``kind``; ``what`` names
-    the expected value for the message."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{what}, got {type(value).__name__}")
+def _checked(kind: type, what: str) -> Callable[[Any], Any]:
+    """The freeze of a field holding a ``kind``; ``what`` names it in the TypeError."""
+    def freeze(value: Any) -> Any:
+        if not isinstance(value, kind):
+            raise TypeError(f"{what}, got {type(value).__name__}")
+        return value
+    return freeze
 
 
-@dataclass(frozen=True)
-class NoConflicts:
+class _Condition(_Record):
+    """A condition kind: its document ``tag``, its ``_fields``, whose parsers also
+    take the depth of any condition inside, and ``_holds`` on the conflicts found."""
+
+    tag: ClassVar[str]
+
+
+def _freeze_count(n: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"ConflictCountAtMost takes an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError("conflict count bound must be non-negative")
+    return n
+
+
+def _parse_count(n: Any, _depth: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise SchemaError(f"condition: n must be a non-negative integer, got {n!r}")
+    return n
+
+
+def _freeze_conditions(conditions: Any) -> tuple[Condition, ...]:
+    if conditions := tuple(map(_checked(_Condition, "And takes conditions"), conditions)):
+        return conditions
+    raise ValueError("'and' needs at least one condition")
+
+
+def _parse_conditions(subs: Any, depth: int) -> tuple[Condition, ...]:
+    if not isinstance(subs, list) or not subs:
+        raise SchemaError("condition: 'and' needs a non-empty array of conditions")
+    return tuple(condition_from_dict(sub, depth) for sub in subs)
+
+
+def condition_from_dict(obj: Any, depth: int = 0) -> Condition:
+    if depth > MAX_CONDITION_DEPTH:
+        raise SchemaError(f"condition nesting exceeds {MAX_CONDITION_DEPTH} levels")
+    if not isinstance(obj, dict):
+        raise SchemaError(f"condition: expected an object, got {type(obj).__name__}")
+    tag = obj.get("type")
+    # A JSON tag that is not a string, a list say, names no kind and may not hash.
+    cls = _TAGS.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise SchemaError(f"condition: unknown type {tag!r}")
+    strict_object(obj, {"type", *cls._fields}, "condition")
+    return cls(*(parse(obj[name], depth + 1) for name, (_freeze, parse) in cls._fields.items()))
+
+
+class NoConflicts(_Condition):
     """Holds iff the two graphs have no conflicts."""
 
+    tag = "no-conflicts"
 
-@dataclass(frozen=True)
-class ConflictsComplementaryIn:
+    def _holds(self, found: Set[Flow], a: CommonRepresentation, b: CommonRepresentation) -> bool:
+        return not found
+
+
+class ConflictsComplementaryIn(_Condition):
     """Holds iff every conflict's inverse is a flow of the chosen side."""
 
     side: Side
+    tag = "conflicts-complementary-in"
+    _fields = {"side": (_checked(Side, "ConflictsComplementaryIn takes a Side"),
+                        lambda side, _: one_of(Side._value2member_map_, side, "condition: side"))}
 
-    def __post_init__(self) -> None:
-        _expect(self.side, Side, "ConflictsComplementaryIn takes a Side")
+    def _holds(self, found: Set[Flow], a: CommonRepresentation, b: CommonRepresentation) -> bool:
+        flows = a.flows if self.side is Side.FIRST else b.flows
+        return all((dst, src) in flows for src, dst in found)
 
 
-@dataclass(frozen=True)
-class ConflictCountAtMost:
+class ConflictCountAtMost(_Condition):
     n: int
+    tag = "conflict-count-at-most"
+    _fields = {"n": (_freeze_count, _parse_count)}
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"ConflictCountAtMost takes an int, got {type(self.n).__name__}")
-        if self.n < 0:
-            raise ValueError("conflict count bound must be non-negative")
-
-
-@dataclass(frozen=True)
-class And:
-    conditions: tuple["Condition", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        if not self.conditions:
-            raise ValueError("'and' needs at least one condition")
-        for sub in self.conditions:
-            _expect(sub, Condition, "And takes conditions")
+    def _holds(self, found: Set[Flow], a: CommonRepresentation, b: CommonRepresentation) -> bool:
+        return len(found) <= self.n
 
 
-@dataclass(frozen=True)
-class Not:
-    condition: "Condition"
+class And(_Condition):
+    conditions: tuple[Condition, ...]
+    tag = "and"
+    _fields = {"conditions": (_freeze_conditions, _parse_conditions)}
 
-    def __post_init__(self) -> None:
-        _expect(self.condition, Condition, "Not takes a condition")
+    def _holds(self, found: Set[Flow], a: CommonRepresentation, b: CommonRepresentation) -> bool:
+        return all(sub._holds(found, a, b) for sub in self.conditions)
+
+
+class Not(_Condition):
+    condition: Condition
+    tag = "not"
+    _fields = {"condition": (_checked(_Condition, "Not takes a condition"), condition_from_dict)}
+
+    def _holds(self, found: Set[Flow], a: CommonRepresentation, b: CommonRepresentation) -> bool:
+        return not self.condition._holds(found, a, b)
 
 
 Condition = NoConflicts | ConflictsComplementaryIn | ConflictCountAtMost | And | Not
 
+_TAGS = {cls.tag: cls for cls in Condition.__args__}
 
-@dataclass(frozen=True)
-class CompositionRule:
+
+class CompositionRule(_Record):
     """condition -> then_action, otherwise else_action.
 
     The two actions must differ; a rule that cannot discriminate is
@@ -108,17 +163,17 @@ class CompositionRule:
     condition: Condition
     then_action: Action
     else_action: Action
+    _fields = {
+        "condition": (_checked(_Condition, "CompositionRule.condition must be a condition"), None),
+        "then_action": (_checked(Action, "CompositionRule.then_action must be an Action"), None),
+        "else_action": (_checked(Action, "CompositionRule.else_action must be an Action"), None),
+    }
 
-    def __post_init__(self) -> None:
-        _expect(self.condition, Condition, "CompositionRule.condition must be a condition")
-        _expect(self.then_action, Action, "CompositionRule.then_action must be an Action")
-        _expect(self.else_action, Action, "CompositionRule.else_action must be an Action")
-        if self.then_action == self.else_action:
-            raise ValidationError("rule actions must differ")
+    def _problems(self) -> list[str]:
+        return ["rule actions must differ"] if self.then_action == self.else_action else []
 
 
-@dataclass(frozen=True)
-class CompositionDecision:
+class CompositionDecision(_Record):
     """Audit record of one rule application.
 
     ``result`` is present for every action except REJECT; ``evidence`` is
@@ -128,32 +183,20 @@ class CompositionDecision:
     action_taken: Action
     result: Optional[CommonRepresentation]
     evidence: frozenset[Flow]
+    _fields = {"action_taken": (lambda action: action, None),
+               "result": (lambda result: result, None), "evidence": (frozenset, None)}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evidence", frozenset(self.evidence))
+    def _problems(self) -> list[str]:
         if (self.result is None) != (self.action_taken is Action.REJECT):
-            raise ValueError("result must be present exactly when the action is not reject")
+            return ["result must be present exactly when the action is not reject"]
+        return []
 
 
 def eval_condition(c: Condition, a: CommonRepresentation, b: CommonRepresentation) -> bool:
     """Evaluate a condition over the conflicts of the two graphs."""
-    return _eval(c, a, b, analyze.conflicts(a, b))
-
-
-def _eval(c: Condition, a: CommonRepresentation, b: CommonRepresentation,
-          conflict_set: frozenset[Flow]) -> bool:
-    if isinstance(c, NoConflicts):
-        return not conflict_set
-    if isinstance(c, ConflictsComplementaryIn):
-        flows = a.flows if c.side is Side.FIRST else b.flows
-        return all((f.dst, f.src) in flows for f in conflict_set)
-    if isinstance(c, ConflictCountAtMost):
-        return len(conflict_set) <= c.n
-    if isinstance(c, And):
-        return all(_eval(sub, a, b, conflict_set) for sub in c.conditions)
-    if isinstance(c, Not):
-        return not _eval(c.condition, a, b, conflict_set)
-    raise TypeError(f"not a condition: {type(c).__name__}")
+    if not isinstance(c, Condition):
+        raise TypeError(f"not a condition: {type(c).__name__}")
+    return c._holds(analyze.conflicts(a, b), a, b)
 
 
 _COMPOSERS = {
@@ -167,43 +210,12 @@ def apply_rule(rule: CompositionRule, a: CommonRepresentation,
                b: CommonRepresentation) -> CompositionDecision:
     """Evaluate the rule's condition and perform the selected action."""
     evidence = analyze.conflicts(a, b)
-    action = rule.then_action if _eval(rule.condition, a, b, evidence) else rule.else_action
+    action = rule.then_action if rule.condition._holds(evidence, a, b) else rule.else_action
     result = None if action is Action.REJECT else _COMPOSERS[action](a, b)
-    return CompositionDecision(action_taken=action, result=result, evidence=evidence)
+    return CompositionDecision(action, result, evidence)
 
 
 # -- rule file schema --------------------------------------------------------
-
-def condition_from_dict(obj: Any, depth: int = 0) -> Condition:
-    if depth > MAX_CONDITION_DEPTH:
-        raise SchemaError(f"condition nesting exceeds {MAX_CONDITION_DEPTH} levels")
-    if not isinstance(obj, dict):
-        raise SchemaError(f"condition: expected an object, got {type(obj).__name__}")
-    tag = obj.get("type")
-    if tag == "no-conflicts":
-        strict_object(obj, {"type"}, "condition")
-        return NoConflicts()
-    if tag == "conflicts-complementary-in":
-        strict_object(obj, {"type", "side"}, "condition")
-        return ConflictsComplementaryIn(
-            one_of(Side._value2member_map_, obj["side"], "condition: side"))
-    if tag == "conflict-count-at-most":
-        strict_object(obj, {"type", "n"}, "condition")
-        n = obj["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise SchemaError(f"condition: n must be a non-negative integer, got {n!r}")
-        return ConflictCountAtMost(n)
-    if tag == "and":
-        strict_object(obj, {"type", "conditions"}, "condition")
-        subs = obj["conditions"]
-        if not isinstance(subs, list) or not subs:
-            raise SchemaError("condition: 'and' needs a non-empty array of conditions")
-        return And(tuple(condition_from_dict(sub, depth + 1) for sub in subs))
-    if tag == "not":
-        strict_object(obj, {"type", "condition"}, "condition")
-        return Not(condition_from_dict(obj["condition"], depth + 1))
-    raise SchemaError(f"condition: unknown type {tag!r}")
-
 
 def rule_from_dict(obj: Any) -> CompositionRule:
     """Parse ``{"condition": {...}, "then": "merge", "else": "append"}``."""

@@ -1,5 +1,5 @@
-"""Random and hypothesis generators for graphs and source policies, and
-the rebuild that checks a graph the library built."""
+"""Random and hypothesis generators for graphs, source policies and
+condition documents, and the rebuild that checks a graph the library built."""
 
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from infoflow import (
 )
 from infoflow import model
 from infoflow.model import interface_key
+from infoflow.rules import MAX_CONDITION_DEPTH
 
 # Small shared pool so independently generated graphs overlap often.
 POOL = tuple(
@@ -115,3 +116,26 @@ def random_lattice(rng, max_labels=5, max_entities=6):
     entities = [f"e{i}" for i in range(1, rng.randint(1, max_entities) + 1)]
     labelling = {entity: rng.choice(labels) for entity in entities}
     return LatticePolicy(labels=labels, order=order, entities=entities, labelling=labelling)
+
+
+# The condition documents that hold no other condition.
+CONDITION_LEAVES = st.one_of(
+    st.just({"type": "no-conflicts"}),
+    st.sampled_from(["first", "second"]).map(
+        lambda side: {"type": "conflicts-complementary-in", "side": side}),
+    st.integers(0, 6).map(lambda n: {"type": "conflict-count-at-most", "n": n}),
+)
+
+
+def condition_docs(depth=MAX_CONDITION_DEPTH):
+    """Condition documents of every type, with at most ``depth`` levels of
+    ``and`` and ``not`` above a leaf: the deepest nesting a rule file may hold."""
+    if depth == 0:
+        return CONDITION_LEAVES
+    inner = st.deferred(lambda: condition_docs(depth - 1))
+    return st.one_of(
+        CONDITION_LEAVES,
+        st.lists(inner, min_size=1, max_size=3).map(
+            lambda subs: {"type": "and", "conditions": subs}),
+        inner.map(lambda sub: {"type": "not", "condition": sub}),
+    )

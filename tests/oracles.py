@@ -7,8 +7,9 @@ finishes nodes in post-order and reuses their finished sets, without
 recursion), permission flows are enumerated triple by triple, lattice flows
 entity pair by entity pair and role flows role by role, composites are
 decided one flow at a time, conflicts are filtered from the whole symmetric
-difference, and the canonical output order sorts key tuples built from each
-interface's fields.  The one exception is the reference graph loader, which
+difference, conditions are read from their documents by the tag and over
+those conflicts, and the canonical output order sorts key tuples built from
+each interface's fields.  The one exception is the reference graph loader, which
 is the library's loader without its memo: every interface object goes
 through ``serialize.interface_from_dict`` each time it occurs.
 """
@@ -167,6 +168,26 @@ def conflicts_by_definition(a, b):
     """The flows exactly one of a and b permits whose endpoints both declare."""
     shared = a.interfaces & b.interfaces
     return frozenset(filter(shared.issuperset, a.flows ^ b.flows))
+
+
+def holds_by_definition(doc, a, b):
+    """Whether the condition document ``doc`` holds for graphs a and b, read
+    from the document itself and the README's definitions: each condition
+    judges the conflicts of a and b, found afresh, and a conflict is covered
+    by a side when some flow of that side runs the other way."""
+    found = conflicts_by_definition(a, b)
+    kind = doc["type"]
+    if kind == "no-conflicts":
+        return len(found) == 0
+    if kind == "conflicts-complementary-in":
+        side = a if doc["side"] == "first" else b
+        return all(any(g.src == f.dst and g.dst == f.src for g in side.flows) for f in found)
+    if kind == "conflict-count-at-most":
+        return len(found) <= doc["n"]
+    if kind == "and":
+        return all(holds_by_definition(sub, a, b) for sub in doc["conditions"])
+    assert kind == "not", kind
+    return not holds_by_definition(doc["condition"], a, b)
 
 
 def strict_loads(text):

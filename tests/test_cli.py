@@ -368,12 +368,14 @@ def test_every_graph_file_error_names_the_file_once(tmp_path, capsys, argv, cont
         (["compose", "rule", "{good}", "{good}", "--rule", "{bad}"],
          dict(RULE_DOC, condition={"type": "x"}), 2, "condition: unknown type 'x'"),
         (["compose", "rule", "{good}", "{good}", "--rule", "{bad}"],
+         dict(RULE_DOC, condition={"type": ["and"]}), 2, "condition: unknown type ['and']"),
+        (["compose", "rule", "{good}", "{good}", "--rule", "{bad}"],
          dict(RULE_DOC, **{"else": "merge"}), 3, "rule actions must differ"),
         (["compose", "rule", "{good}", "{good}", "--rule", "{bad}"], "{oops", 2,
          "invalid JSON: "),
     ],
-    ids=["policy-schema", "policy-invalid", "policy-not-json", "rule-schema", "rule-invalid",
-         "rule-not-json"],
+    ids=["policy-schema", "policy-invalid", "policy-not-json", "rule-schema",
+         "rule-type-not-a-string", "rule-invalid", "rule-not-json"],
 )
 def test_every_policy_and_rule_file_error_names_the_file_once(tmp_path, capsys, argv, content,
                                                               code, message):

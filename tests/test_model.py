@@ -261,6 +261,15 @@ class TestGraphValue:
             case _:
                 pytest.fail("a graph matches its two fields by position")
 
+    def test_replace_rebuilds_through_the_check(self):
+        g = cr({A, B}, {Flow(A, B)})
+        assert g.__replace__() == g and g.__replace__() is not g
+        assert g.__replace__(flows=[Flow(B, A)]) == cr({A, B}, {Flow(B, A)})
+        with pytest.raises(ValidationError, match="undeclared interface b#x$"):
+            g.__replace__(interfaces={A})
+        with pytest.raises(TypeError, match=r"^CommonRepresentation\.__init__\(\) got an unexpected"):
+            g.__replace__(edges=())
+
 
 class TestGrant:
     def test_permit_when_flow_present(self):

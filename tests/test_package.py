@@ -134,6 +134,24 @@ def test_founding_a_federation_imports_neither_dataclasses_nor_argparse():
     assert {"dataclasses", "argparse"}.isdisjoint(modules)
 
 
+def test_the_rule_command_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # Every CLI process builds the parser, which imports the rules; a
+    # dataclass would bring in ``inspect`` and, with it, ``ast`` and ``dis``.
+    graph, rule = tmp_path / "cr.json", tmp_path / "rule.json"
+    graph.write_text(json.dumps(GRAPH), encoding="utf-8")
+    rule.write_text(json.dumps({"condition": {"type": "no-conflicts"}, "then": "merge",
+                                "else": "append"}), encoding="utf-8")
+    code, modules = run_fresh(
+        "import infoflow.cli\n"
+        "infoflow.cli.build_parser()\n"
+        "code = infoflow.cli.main(['compose', 'rule', sys.argv[1], sys.argv[1], '--rule', sys.argv[2]])\n"
+        "print(json.dumps([code, added()]))\n",
+        str(graph), str(rule))
+    assert code == 0
+    assert {"infoflow.rules", "argparse"} <= set(modules)
+    assert {"dataclasses", "inspect"}.isdisjoint(modules)
+
+
 def test_translate_imports_the_policies(tmp_path):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(POLICY), encoding="utf-8")

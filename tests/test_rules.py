@@ -1,7 +1,13 @@
+import copy
+import pickle
+import sys
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 
 from infoflow import (
+    AclPolicy,
     Action,
     And,
     CommonRepresentation,
@@ -11,6 +17,7 @@ from infoflow import (
     ConflictsComplementaryIn,
     Flow,
     Implicit,
+    Mode,
     NoConflicts,
     Not,
     SchemaError,
@@ -25,7 +32,8 @@ from infoflow import (
     rule_from_dict,
 )
 from infoflow.rules import condition_from_dict
-from crgen import graphs
+from crgen import condition_docs, graphs
+from oracles import holds_by_definition
 
 X = Implicit("x", "i")
 Y = Implicit("y", "i")
@@ -238,9 +246,19 @@ class TestRuleLoading:
             condition_from_dict(doc)
         assert str(caught.value) == message
 
-    def test_unknown_condition_type(self):
-        with pytest.raises(SchemaError, match="unknown type"):
-            condition_from_dict({"type": "sometimes"})
+    # A type that is not a string names no kind, and a lookup must not try
+    # to hash it: a list or an object would raise TypeError.
+    @pytest.mark.parametrize("doc, shown", [
+        ({"type": "sometimes"}, "'sometimes'"),
+        ({"type": ["and"]}, "['and']"),
+        ({"type": {"a": 1}}, "{'a': 1}"),
+        ({"type": 1}, "1"),
+        ({"conditions": [{"type": "no-conflicts"}]}, "None"),
+    ], ids=["unknown-name", "list", "object", "number", "missing"])
+    def test_unknown_condition_type(self, doc, shown):
+        with pytest.raises(SchemaError) as caught:
+            condition_from_dict(doc)
+        assert str(caught.value) == f"condition: unknown type {shown}"
 
     def test_unknown_field(self):
         with pytest.raises(SchemaError, match="extra"):
@@ -287,3 +305,131 @@ class TestRuleLoading:
             rule_from_dict(
                 {"condition": {"type": "no-conflicts"}, "then": "merge", "else": "merge"}
             )
+
+
+def built(doc):
+    """The condition of a condition document, made by the constructors."""
+    match doc:
+        case {"type": "no-conflicts"}:
+            return NoConflicts()
+        case {"type": "conflicts-complementary-in", "side": side}:
+            return ConflictsComplementaryIn(Side(side))
+        case {"type": "conflict-count-at-most", "n": n}:
+            return ConflictCountAtMost(n)
+        case {"type": "and", "conditions": subs}:
+            return And(tuple(map(built, subs)))
+        case {"type": "not", "condition": sub}:
+            return Not(built(sub))
+
+
+class TestGeneratedConditions:
+    @given(condition_docs())
+    def test_a_document_loads_as_the_condition_the_constructors_build(self, doc):
+        assert condition_from_dict(doc) == built(doc)
+
+    @given(condition_docs(), graphs(), graphs())
+    def test_evaluation_agrees_with_the_definition(self, doc, a, b):
+        assert eval_condition(condition_from_dict(doc), a, b) == holds_by_definition(doc, a, b)
+
+
+# One value of each rule class, with its fields in order and its repr as it
+# was when these classes were dataclasses.
+VALUES = {
+    "no-conflicts": (NoConflicts(), (), "NoConflicts()"),
+    "complementary": (ConflictsComplementaryIn(Side.SECOND), ("side",),
+                      "ConflictsComplementaryIn(side=<Side.SECOND: 'second'>)"),
+    "count": (ConflictCountAtMost(2), ("n",), "ConflictCountAtMost(n=2)"),
+    "and": (And((NoConflicts(), Not(ConflictCountAtMost(2)))), ("conditions",),
+            "And(conditions=(NoConflicts(), Not(condition=ConflictCountAtMost(n=2))))"),
+    "not": (Not(ConflictsComplementaryIn(Side.FIRST)), ("condition",),
+            "Not(condition=ConflictsComplementaryIn(side=<Side.FIRST: 'first'>))"),
+    "rule": (CompositionRule(And((NoConflicts(), Not(ConflictCountAtMost(2)))), Action.MERGE,
+                             Action.APPEND_STRICT),
+             ("condition", "then_action", "else_action"),
+             "CompositionRule(condition=And(conditions=(NoConflicts(), "
+             "Not(condition=ConflictCountAtMost(n=2)))), then_action=<Action.MERGE: 'merge'>, "
+             "else_action=<Action.APPEND_STRICT: 'append-strict'>)"),
+    "decision": (CompositionDecision(Action.APPEND, CommonRepresentation({X}), {Flow(X, Y)}),
+                 ("action_taken", "result", "evidence"),
+                 "CompositionDecision(action_taken=<Action.APPEND: 'append'>, "
+                 "result=CommonRepresentation(interfaces=frozenset({Implicit(agent='x', "
+                 "label='i')}), flows=frozenset()), evidence=frozenset({Flow(src=Implicit("
+                 "agent='x', label='i'), dst=Implicit(agent='y', label='i'))}))"),
+}
+
+
+def by_position(value):
+    """The fields a positional class pattern captures from ``value``."""
+    kind = SimpleNamespace(cls=type(value))
+    match len(kind.cls.__match_args__), value:
+        case 0, kind.cls():
+            return ()
+        case 1, kind.cls(first):
+            return (first,)
+        case 3, kind.cls(first, second, third):
+            return (first, second, third)
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES.values(), ids=VALUES)
+class TestRuleValue:
+    """Every rule value is immutable, equal and hashed by its class and
+    fields, printed by them, and rebuilt through its checks when copied."""
+
+    def test_repr_names_the_fields(self, value, fields, text):
+        assert repr(value) == text
+
+    def test_equality_and_hash_follow_class_and_fields(self, value, fields, text):
+        twin = type(value)(*(getattr(value, field) for field in fields))
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert value != And((NoConflicts(),))  # another class, or another field for And
+        assert value.__eq__(object()) is NotImplemented
+
+    def test_pickle_and_copies_are_equal(self, value, fields, text):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in [*copies, copy.copy(value), copy.deepcopy(value), value.__replace__()]:
+            assert copied == value and type(copied) is type(value) and repr(copied) == text
+
+    def test_match_by_position(self, value, fields, text):
+        assert type(value).__match_args__ == fields
+        assert by_position(value) == tuple(getattr(value, field) for field in fields)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, value, fields, text):
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert repr(value) == text
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_checks_the_value(protocol):
+    # Only a forgery past the constructor can hold this; the constructor refuses it.
+    forged = object.__new__(ConflictCountAtMost)
+    vars(forged)["n"] = -1
+    with pytest.raises(ValueError, match="^conflict count bound must be non-negative$"):
+        pickle.loads(pickle.dumps(forged, protocol))
+    with pytest.raises(ValueError, match="^conflict count bound must be non-negative$"):
+        copy.copy(forged)
+
+
+def test_replace_rebuilds_through_the_checks():
+    assert COMPLEMENTARY_RULE.__replace__(else_action=Action.REJECT) == CompositionRule(
+        ConflictsComplementaryIn(Side.FIRST), Action.MERGE, Action.REJECT)
+    with pytest.raises(ValidationError, match="^rule actions must differ$"):
+        COMPLEMENTARY_RULE.__replace__(else_action=Action.MERGE)
+    with pytest.raises(TypeError, match=r"^CompositionRule\(\) got an unexpected field 'then'$"):
+        COMPLEMENTARY_RULE.__replace__(then=Action.APPEND)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_changes_a_rule_a_policy_and_a_graph():
+    assert copy.replace(COMPLEMENTARY_RULE, then_action=Action.APPEND_STRICT) == CompositionRule(
+        ConflictsComplementaryIn(Side.FIRST), Action.APPEND_STRICT, Action.APPEND)
+    policy = AclPolicy(objects={"o"}, subjects={"s"}, entries={})
+    assert copy.replace(policy, entries={"o": {("s", Mode.R)}}) == AclPolicy(
+        {"o"}, {"s"}, {"o": {("s", Mode.R)}})
+    assert copy.replace(A_BIDI, flows=set()) == B_EMPTY
+    with pytest.raises(ValidationError, match="undeclared interface x#i"):
+        copy.replace(A_BIDI, interfaces={Y})
