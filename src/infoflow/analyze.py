@@ -16,13 +16,15 @@ def conflicts(a: CommonRepresentation, b: CommonRepresentation) -> frozenset[Flo
 
     Only what the shared interfaces touch is read: the flows of the graph
     with fewer flows, and the other graph's flows out of the shared
-    interfaces, from its query index.  That fills the other graph's index
-    if no query has yet, and it stays cached on that value.
+    interfaces, from its query index, which is built here if that graph has
+    none yet.  A value that is not a graph raises :class:`TypeError`.
     """
+    if not (isinstance(a, CommonRepresentation) and isinstance(b, CommonRepresentation)):
+        raise TypeError(f"conflicts takes graphs, got {type(a).__name__} and {type(b).__name__}")
     small, large = (a, b) if len(a.flows) <= len(b.flows) else (b, a)
     shared = a.interfaces & b.interfaces
     found = set(filter(shared.issuperset, small.flows)) - large.flows
-    rows, small_flows = large._successors, small.flows
+    (rows, _partition), small_flows = large._index, small.flows
     for src in shared:
         for dst in rows.get(src, ()):
             if dst in shared and (src, dst) not in small_flows:

@@ -3,26 +3,15 @@
 Both operations assume consistent interface naming: an interface appearing
 in both operands is the same interface.  Merge is commutative; append is
 not, so a fold over several graphs (``functools.reduce``) must keep their
-order.
+order.  Each operation picks the flows of ``b`` it keeps, and
+:func:`~infoflow.model._composite` builds the composite from them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set
 from itertools import filterfalse
 
-from .model import CommonRepresentation, Flow, _graph
-
-
-def _extend(a: CommonRepresentation, b: CommonRepresentation,
-            kept: Set[Flow]) -> CommonRepresentation:
-    """The composite every operation builds: all of ``a``, ``b``'s interfaces,
-    and ``kept``, the flows of ``b`` that the operation keeps.  Both
-    operands are valid, so the composite is, and it skips the constructor's
-    check.  It takes over the part of ``a``'s query index that is filled."""
-    out = _graph(a.interfaces | b.interfaces, a.flows | kept)
-    out._inherit_index(a, kept)
-    return out
+from .model import CommonRepresentation, _composite
 
 
 def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -31,7 +20,7 @@ def merge(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentat
     Commutative, associative and idempotent, with the empty graph as
     identity.
     """
-    return _extend(a, b, b.flows)
+    return _composite(a, b, b.flows)
 
 
 def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -42,7 +31,7 @@ def append(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresenta
     can only be there when both endpoints are interfaces of ``a``.
     """
     in_a, flows = a.interfaces.issuperset, a.flows
-    return _extend(a, b, {f for f in b.flows if not (in_a(f) and (f in flows or f[::-1] in flows))})
+    return _composite(a, b, {f for f in b.flows if not (in_a(f) and (f in flows or f[::-1] in flows))})
 
 
 def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRepresentation:
@@ -53,4 +42,4 @@ def append_strict(a: CommonRepresentation, b: CommonRepresentation) -> CommonRep
     least one interface ``a`` does not declare pass through.  It is never
     more permissive than :func:`append`.
     """
-    return _extend(a, b, set(filterfalse(a.interfaces.issuperset, b.flows)))
+    return _composite(a, b, set(filterfalse(a.interfaces.issuperset, b.flows)))

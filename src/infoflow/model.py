@@ -37,16 +37,16 @@ cannot be reassigned, and a changed graph is built with the constructor,
 which checks it.  Graphs, policies and rules are values of :class:`_Record`,
 not dataclasses, so the package never imports :mod:`dataclasses`.
 
-The one piece of state a graph gains is a derived index (each flow source's
-successor list and the availability partition), reused by every query on
-the same value.  A translation, a loaded graph or a composite whose first
-operand has no index fills it on its first ``reachable``, ``is_lively`` or
-``component_count`` query.  A composite whose first operand has filled it
-is built with it: the operand's rows plus the new flows, and its partition
-with their complementary pairs joined in.  An index is written only while
-it is filled, never after, and an operand's index is only read.  It is not
-a field, so equality, hashing and serialized output never see it; two
-threads racing to fill it compute the same value, which is harmless.
+The one piece of state a graph gains is a derived index, ``_index``: each
+flow source's successor list and the availability partition, built together
+and reused by every query on the same value, so a graph has no index or the
+whole one.  A graph builds it on its first ``reachable``, ``is_lively``,
+``component_count`` or ``analyze.conflicts``, unless :func:`_composite`
+built the graph with it from a first operand that had one.  Only this
+module writes an index, only while building it, and an operand's index is
+only read.  It is not a field, so equality, hashing and serialized output
+never see it; two threads racing to build it compute the same value, which
+is harmless.
 """
 
 from __future__ import annotations
@@ -412,36 +412,15 @@ class CommonRepresentation(_Record):
         vars(self).update(interfaces=interfaces, flows=flows)
 
     @cached_property
-    def _successors(self) -> dict[InterfaceId, list[InterfaceId]]:
-        """The destinations of each flow source; a vertex with no outgoing flow has no entry."""
-        return _rows(self.flows)
-
-    @cached_property
-    def _partition(self) -> dict[InterfaceId, InterfaceId]:
-        """The availability partition as union-find parent links: the two
-        endpoints of a complementary pair are in one class.  A class's root
-        has no entry, and every other interface has one; every key is a
-        declared interface, so the classes number the interfaces less the
-        entries."""
+    def _index(self) -> tuple[dict[InterfaceId, list[InterfaceId]], dict[InterfaceId, InterfaceId]]:
+        """The query index, built in one step: the destinations of each flow
+        source (a vertex with no outgoing flow has no row), and the
+        availability partition as union-find parent links, which put the two
+        endpoints of a complementary pair in one class.  A class's root has
+        no link and every other interface has one; every key is a declared
+        interface, so the classes number the interfaces less the links."""
         flows = self.flows
-        return _unite({}, ((x, y) for x, y in flows if (y, x) in flows))
-
-    def _inherit_index(self, a: CommonRepresentation, kept: Set[Flow]) -> None:
-        """Fill this graph's index (successor rows, partition) from the
-        filled part of ``a``'s, for a composite holding all of ``a`` and the
-        flows ``kept``, copying only rows that gain a flow.  Call it before
-        the graph is handed out."""
-        filled = a.__dict__
-        if "_successors" in filled:
-            successors = filled["_successors"].copy()
-            for src, dsts in _rows(kept - a.flows).items():
-                successors[src] = successors.get(src, []) + dsts
-            self.__dict__["_successors"] = successors
-        if "_partition" in filled:
-            # A pair already in ``a`` is joined already; joining it again changes nothing.
-            flows = self.flows
-            self.__dict__["_partition"] = _unite(
-                filled["_partition"].copy(), ((x, y) for x, y in kept if (y, x) in flows))
+        return _rows(flows), _unite({}, ((x, y) for x, y in flows if (y, x) in flows))
 
 
 def _graph(interfaces: Iterable[InterfaceId], flows: Iterable[Flow]) -> CommonRepresentation:
@@ -449,6 +428,24 @@ def _graph(interfaces: Iterable[InterfaceId], flows: Iterable[Flow]) -> CommonRe
     cr = object.__new__(CommonRepresentation)
     vars(cr).update(interfaces=frozenset(interfaces), flows=frozenset(flows))
     return cr
+
+
+def _composite(a: CommonRepresentation, b: CommonRepresentation,
+               kept: Set[Flow]) -> CommonRepresentation:
+    """The composite of all of ``a``, ``b``'s interfaces and ``kept``, the
+    flows of ``b`` a composition keeps; the operands are valid, so it skips
+    the constructor's check.  When ``a`` has an index, so does the composite:
+    ``a``'s rows, with only those that gain a flow rebuilt, and ``a``'s
+    partition with the kept complementary pairs joined in."""
+    out = _graph(a.interfaces | b.interfaces, a.flows | kept)
+    if (index := vars(a).get("_index")) is not None:
+        rows, parent = index[0].copy(), index[1].copy()
+        for src, dsts in _rows(kept - a.flows).items():
+            rows[src] = rows.get(src, []) + dsts
+        # A pair already in ``a`` is joined already; joining it again changes nothing.
+        flows = out.flows
+        vars(out)["_index"] = rows, _unite(parent, ((x, y) for x, y in kept if (y, x) in flows))
+    return out
 
 
 def _rows(flows: Iterable[Flow]) -> dict[InterfaceId, list[InterfaceId]]:
@@ -503,7 +500,7 @@ def component_count(cr: CommonRepresentation) -> int:
     Read from the graph's index, so only the first query on a value pays
     for it.
     """
-    return len(cr.interfaces) - len(cr._partition)
+    return len(cr.interfaces) - len(cr._index[1])
 
 
 def is_lively(cr: CommonRepresentation) -> bool:
@@ -527,7 +524,7 @@ def reachable(cr: CommonRepresentation, src: InterfaceId, dst: InterfaceId) -> b
             raise UnknownInterfaceError(f"unknown interface {format_interface(iface)}")
     if src is dst:
         return True
-    successors = cr._successors
+    successors, _partition = cr._index
     seen = {src}
     stack = [src]
     while stack:

@@ -43,7 +43,7 @@ class Action(enum.Enum):
     REJECT = "reject"
 
 
-def _checked(kind: type, what: str) -> Callable[[Any], Any]:
+def _checked(kind: type | tuple[type, ...], what: str) -> Callable[[Any], Any]:
     """The freeze of a field holding a ``kind``; ``what`` names it in the TypeError."""
     def freeze(value: Any) -> Any:
         if not isinstance(value, kind):
@@ -183,8 +183,12 @@ class CompositionDecision(_Record):
     action_taken: Action
     result: Optional[CommonRepresentation]
     evidence: frozenset[Flow]
-    _fields = {"action_taken": (lambda action: action, None),
-               "result": (lambda result: result, None), "evidence": (frozenset, None)}
+    _fields = {
+        "action_taken": (_checked(Action, "CompositionDecision.action_taken must be an Action"), None),
+        "result": (_checked((CommonRepresentation, type(None)),
+                            "CompositionDecision.result must be a graph or None"), None),
+        "evidence": (frozenset, None),
+    }
 
     def _problems(self) -> list[str]:
         if (self.result is None) != (self.action_taken is Action.REJECT):

@@ -1,5 +1,6 @@
 """Random and hypothesis generators for graphs, source policies and
-condition documents, and the rebuild that checks a graph the library built."""
+condition documents, the rebuild that checks a graph the library built,
+and views of a graph's query index that tests can compare."""
 
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from infoflow import (
     LatticePolicy,
     Mode,
     RbacPolicy,
+    component_count,
 )
 from infoflow import model
 from infoflow.model import interface_key
@@ -36,6 +38,33 @@ def rebuilt(cr):
     for iface in cr.interfaces:
         model._check_names(type(iface), interface_key(iface))
     return CommonRepresentation(cr.interfaces, {Flow(src, dst) for src, dst in cr.flows})
+
+
+def index_view(g):
+    """The query index ``g`` holds, or None if it holds none, as a value two
+    graphs' indexes can be compared by: each source's successors as a set,
+    and the availability partition as a set of classes over the declared
+    interfaces and every key of the parent links.  Roots are found without
+    shortening paths, so reading leaves the index as it was."""
+    index = vars(g).get("_index")
+    if index is None:
+        return None
+    rows, parent = index
+    classes = {}
+    for vertex in g.interfaces | parent.keys():
+        root = vertex
+        while root in parent:
+            root = parent[root]
+        classes.setdefault(root, set()).add(vertex)
+    return ({src: frozenset(row) for src, row in rows.items()},
+            frozenset(map(frozenset, classes.values())))
+
+
+def fresh_index_view(g):
+    """:func:`index_view` of a fresh copy of ``g``, after a query built its index."""
+    fresh = CommonRepresentation(g.interfaces, g.flows)
+    component_count(fresh)
+    return index_view(fresh)
 
 
 def random_cr(rng, pool=POOL, max_interfaces=8, density=0.3):

@@ -1,17 +1,23 @@
+import pytest
 from hypothesis import given
 
 from infoflow import (
+    Action,
     CommonRepresentation,
+    CompositionRule,
     Flow,
     Implicit,
+    NoConflicts,
+    apply_rule,
     common_flows,
     conflicting,
     conflicts,
     diffs,
+    eval_condition,
     merge,
     one_sided_conflicts,
 )
-from crgen import graphs
+from crgen import fresh_index_view, graphs, index_view
 from oracles import conflicts_by_definition
 
 A = Implicit("a", "x")
@@ -56,6 +62,33 @@ class TestConflicts:
         assert conflicts(merged, CR1) == frozenset()
         # CR1 contributed (a, c), whose endpoints CR2 does declare.
         assert conflicts(merged, CR2) == frozenset({Flow(A, C)})
+
+    @pytest.mark.parametrize("call", [
+        conflicts, conflicting, one_sided_conflicts,
+        lambda a, b: eval_condition(NoConflicts(), a, b),
+        lambda a, b: apply_rule(CompositionRule(NoConflicts(), Action.MERGE, Action.APPEND), a, b),
+    ], ids=["conflicts", "conflicting", "one_sided_conflicts", "eval_condition", "apply_rule"])
+    @pytest.mark.parametrize("a, b, names", [
+        (1, 2, "int and int"),
+        (CR1, "cr.json", "CommonRepresentation and str"),
+        (None, CR2, "NoneType and CommonRepresentation"),
+    ], ids=["int-int", "graph-str", "none-graph"])
+    def test_a_value_that_is_not_a_graph_is_a_type_error(self, call, a, b, names):
+        with pytest.raises(TypeError) as caught:
+            call(a, b)
+        assert str(caught.value) == f"conflicts takes graphs, got {names}"
+
+    @given(graphs(), graphs())
+    def test_the_larger_operand_is_left_with_its_whole_index(self, a, b):
+        """Conflicts read the rows of the graph with more flows (``b`` on a
+        tie), which builds that graph's whole index, equal to a fresh one;
+        the other operand gains none."""
+        small, large = (a, b) if len(a.flows) <= len(b.flows) else (b, a)
+        assert index_view(a) is None and index_view(b) is None
+        conflicts(a, b)
+        assert index_view(large) is not None
+        assert index_view(large) == fresh_index_view(large)
+        assert index_view(small) is None
 
 
 class TestCommonAndDiffs:

@@ -24,6 +24,7 @@ from infoflow import (
     append,
     append_strict,
     component_count,
+    conflicts,
     dumps,
     format_interface,
     grant,
@@ -36,7 +37,8 @@ from infoflow import (
 from infoflow import model
 from infoflow.model import interface_key
 from crgen import (
-    POOL, graphs, random_acl, random_capabilities, random_cr, random_rbac, rebuilt,
+    POOL, fresh_index_view, graphs, index_view, random_acl, random_capabilities, random_cr,
+    random_rbac, rebuilt,
 )
 from oracles import (
     dfs_reachable,
@@ -377,7 +379,7 @@ class TestReachable:
 
 
 FIELDS = {"interfaces", "flows"}
-INDEX = {"_successors", "_partition"}
+INDEX = {"_index"}
 
 
 class TestIndex:
@@ -404,7 +406,7 @@ class TestIndex:
     def test_index_does_not_leak_into_equality_hash_or_output(self, g):
         before = dumps(g)
         is_lively(g)
-        assert set(vars(g)) > FIELDS
+        assert set(vars(g)) == FIELDS | INDEX
         fresh = CommonRepresentation(g.interfaces, g.flows)
         assert set(vars(fresh)) == FIELDS
         assert g == fresh and fresh == g
@@ -493,59 +495,85 @@ def test_index_is_built_on_first_query_only(name):
     grant(A, B, g)
     assert set(vars(g)) == FIELDS
     is_lively(g)
-    assert set(vars(g)) > FIELDS
+    assert set(vars(g)) == FIELDS | INDEX
+    assert index_view(g) == fresh_index_view(g)
 
 
 @pytest.mark.parametrize("name", COMPOSERS)
 def test_composite_of_an_indexed_operand_carries_an_index(name):
     rng = random.Random(7)
     a, b = query(random_cr(rng)), random_cr(rng)
-    assert set(vars(a)) >= INDEX
+    assert set(vars(a)) == FIELDS | INDEX
     g = COMPOSERS[name](a, b)
     assert set(vars(g)) == FIELDS | INDEX
+    assert index_view(g) == fresh_index_view(g)
     assert component_count(g) == oracle_component_count(g)
 
 
-# Parts of the index to fill on a graph before it joins the next one.
-FILLS = [(), ("_successors",), ("_partition",), ("_successors", "_partition")]
+# Whether a graph has its index built before it joins the next one.
+FILLS = [False, True]
 
 
-def index_snapshot(g, part):
-    """A copy of one filled part of the index of ``g``, rows kept in order."""
-    return {key: tuple(value) if isinstance(value, list) else value
-            for key, value in vars(g)[part].items()}
+def index_snapshot(g):
+    """A copy of the index of ``g``: its rows in order, and its parent links."""
+    rows, parent = vars(g)["_index"]
+    return {src: tuple(row) for src, row in rows.items()}, dict(parent)
 
 
 @pytest.mark.parametrize("name", COMPOSERS)
 @given(graphs(), st.sampled_from(FILLS),
        st.lists(st.tuples(graphs(), st.sampled_from(FILLS)), max_size=10))
 def test_inherited_index_equals_a_fresh_one(name, g, fill, joins):
-    """In a fold of queried and unqueried operands, each composite carries
-    the parts of the index its first operand had filled, and they give the
-    answers of a fresh index and of the oracles."""
-    for part in fill:
-        getattr(g, part)
+    """In a fold of indexed and unindexed operands, each composite holds the
+    whole index when its first operand has one and no index otherwise.  An
+    inherited index leaves the operand's as it was, and its rows and
+    partition classes equal a fresh index's and give the oracles' answers."""
+    if fill:
+        is_lively(g)
     for b, fill in joins:
-        a, inherited = g, INDEX & set(vars(g))
-        before = {part: index_snapshot(a, part) for part in inherited}
+        a, indexed = g, "_index" in vars(g)
+        before = index_snapshot(a) if indexed else None
         g = COMPOSERS[name](a, b)
-        assert set(vars(g)) - FIELDS == inherited
-        assert {part: index_snapshot(a, part) for part in inherited} == before
-        if "_successors" in inherited:
-            rows = g._successors
+        assert set(vars(g)) == (FIELDS | INDEX if indexed else FIELDS)
+        if indexed:
+            assert index_snapshot(a) == before
+            rows, _parent = vars(g)["_index"]
             assert all(len(set(row)) == len(row) for row in rows.values())
-            fresh = CommonRepresentation(g.interfaces, g.flows)._successors
-            assert {src: set(row) for src, row in rows.items()} == {
-                src: set(row) for src, row in fresh.items()}
-        # A view sharing g's inherited index: queries on it fill only its own.
+            assert index_view(g) == fresh_index_view(g)
+        # A view sharing g's index, if any: queries on it leave g as it is.
         view = model._graph(g.interfaces, g.flows)
-        vars(view).update({part: vars(g)[part] for part in inherited})
+        if indexed:
+            vars(view)["_index"] = vars(g)["_index"]
         assert component_count(view) == oracle_component_count(g)
         for src in g.interfaces:
             for dst in g.interfaces:
                 assert reachable(view, src, dst) == dfs_reachable(g.flows, src, dst)
-        for part in fill:
-            getattr(g, part)
+        if fill:
+            is_lively(g)
+
+
+@given(st.lists(graphs(max_interfaces=6), min_size=1, max_size=4), st.data())
+def test_every_graph_holds_no_index_or_the_whole_one(start, data):
+    """After any mix of queries, conflict checks and composites, each graph
+    holds either no index or the whole one, equal to a fresh index."""
+    pool = list(start)
+    steps = st.sampled_from(["grant", "reachable", "component_count", "conflicts", *COMPOSERS])
+    for step in data.draw(st.lists(steps, max_size=20)):
+        g, other = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        ordered = sorted(g.interfaces, key=interface_key)
+        if step in COMPOSERS:
+            pool.append(COMPOSERS[step](g, other))
+        elif step == "conflicts":
+            conflicts(g, other)
+        elif step == "component_count":
+            component_count(g)
+        elif step == "grant":
+            grant(A, B, g)
+        elif ordered:
+            reachable(g, data.draw(st.sampled_from(ordered)), data.draw(st.sampled_from(ordered)))
+        for h in pool:
+            assert set(vars(h)) in (FIELDS, FIELDS | INDEX)
+            assert index_view(h) in (None, fresh_index_view(h))
 
 
 def answers(g, count, reach):
@@ -556,13 +584,17 @@ def answers(g, count, reach):
 def test_threads_querying_one_composite_get_the_oracle_answers():
     workers, rounds = 4, 50
     rng = random.Random(5)
-    # The first operands have only their partition filled, so the threads
-    # read an inherited partition and race to fill the successor rows.
+    # Half the first operands are left unqueried, so the threads race to
+    # build each composite's whole index; the other half are queried, so the
+    # threads only read the index each composite inherited.
     composites = []
-    for _ in range(rounds):
+    for n in range(rounds):
         a = random_cr(rng)
-        is_lively(a)
+        if n % 2:
+            is_lively(a)
         composites.append(append(a, random_cr(rng)))
+    assert [set(vars(g)) for g in composites] == [
+        FIELDS | INDEX if n % 2 else FIELDS for n in range(rounds)]
     expected = [answers(g, oracle_component_count, lambda g, s, d: dfs_reachable(g.flows, s, d))
                 for g in composites]
     barrier = threading.Barrier(workers, timeout=10)
@@ -585,6 +617,7 @@ def test_threads_querying_one_composite_get_the_oracle_answers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [[want] * workers for want in expected]
+    assert all(index_view(g) == fresh_index_view(g) for g in composites)
 
 
 def declared_endpoints_are_shared(g):

@@ -137,6 +137,17 @@ class TestConstruction:
         with pytest.raises(TypeError, match="action must be an Action, got str"):
             CompositionRule(NoConflicts(), then_action, else_action)
 
+    @pytest.mark.parametrize("fields, message", [
+        (("merge", A_FWD, ()), "CompositionDecision.action_taken must be an Action, got str"),
+        (("merge", 5, [(1, 2)]), "CompositionDecision.action_taken must be an Action, got str"),
+        ((Action.MERGE, 5, ()), "CompositionDecision.result must be a graph or None, got int"),
+        ((Action.REJECT, "none", ()), "CompositionDecision.result must be a graph or None, got str"),
+    ], ids=["action-str", "action-str-result-int", "result-int", "result-str"])
+    def test_decision_fields_must_have_their_types(self, fields, message):
+        with pytest.raises(TypeError) as caught:
+            CompositionDecision(*fields)
+        assert str(caught.value) == message
+
     def test_decision_result_presence(self):
         with pytest.raises(ValueError):
             CompositionDecision(Action.MERGE, None, frozenset())
