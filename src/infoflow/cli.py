@@ -45,7 +45,9 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _read_json(path: str) -> Any:
+def _load(path: str, reader: Callable[[str], _T]) -> _T:
+    """The value ``reader`` makes from the text of the file at ``path``;
+    every error it raises names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -53,17 +55,15 @@ def _read_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
-    return serialize.decode_json(text, path)
-
-
-def _load(path: str, reader: Callable[[Any], _T]) -> _T:
-    """The value ``reader`` makes from the JSON file at ``path``; every
-    error it raises names the file."""
-    doc = _read_json(path)  # its errors name the file already
     try:
-        return reader(doc)
+        return reader(text)
     except (SchemaError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _load_json(path: str, reader: Callable[[Any], _T]) -> _T:
+    """The value ``reader`` makes from the JSON document in the file at ``path``."""
+    return _load(path, lambda text: reader(serialize.decode_json(text)))
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -107,9 +107,14 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _emit_report(command: str, inputs: list[str], outcome: dict[str, Any],
                  output: Optional[str]) -> None:
     """Write a command's machine-readable report: its envelope holds the
-    command, its input files, the outcome and an empty diagnostics list."""
+    command, its input files, the outcome and an empty diagnostics list.
+
+    A file name byte that is not UTF-8 reads as a lone surrogate, which
+    UTF-8 cannot encode; it is written as its JSON escape (``\\udcff``), so
+    the report stays UTF-8 and reads back as the same name."""
     report = {"command": command, "inputs": inputs, "outcome": outcome, "diagnostics": []}
-    _emit(json.dumps(report, indent=2, ensure_ascii=False) + "\n", output)
+    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    _emit(text.encode("utf-8", "backslashreplace").decode("utf-8"), output)
 
 
 def parse_interface_token(token: str) -> InterfaceId:
@@ -132,7 +137,7 @@ def parse_interface_token(token: str) -> InterfaceId:
 def _cmd_translate(args: argparse.Namespace) -> int:
     from . import policies
 
-    policy = _load(args.policy, policies.policy_from_dict)
+    policy = _load_json(args.policy, policies.policy_from_dict)
     cr = policies.policy_to_cr(
         policy, policies.RbacSemantics._value2member_map_[args.rbac_semantics])
     _emit(serialize.dumps(cr), args.output)
@@ -151,13 +156,13 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     if args.op != "rule" and args.rule_file is not None:
         _err(f"compose {args.op} takes no --rule; only compose rule reads a rule file")
         return 2
-    crs = [_load(path, serialize.cr_from_dict) for path in args.crs]
+    crs = [_load(path, serialize.loads) for path in args.crs]
     if args.op != "rule":
         composer = rules._COMPOSERS[rules.Action._value2member_map_[args.op]]
         _emit(serialize.dumps(functools.reduce(composer, crs)), args.output)
         return 0
 
-    rule = _load(args.rule_file, rules.rule_from_dict)
+    rule = _load_json(args.rule_file, rules.rule_from_dict)
     decisions = []
     rejected = False
     acc = crs[0]
@@ -195,8 +200,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from . import analyze
 
-    a = _load(args.a, serialize.cr_from_dict)
-    b = _load(args.b, serialize.cr_from_dict)
+    a = _load(args.a, serialize.loads)
+    b = _load(args.b, serialize.loads)
     found = analyze.conflicts(a, b)
     _emit_report(
         "analyze",
@@ -213,7 +218,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cr = _load(args.cr, serialize.cr_from_dict)
+    cr = _load(args.cr, serialize.loads)
     results: list[dict[str, Any]] = []
     for src_tok, dst_tok in args.grant or []:
         outcome = grant(parse_interface_token(src_tok), parse_interface_token(dst_tok), cr)
@@ -235,7 +240,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    _emit(serialize.to_dot(_load(args.cr, serialize.cr_from_dict)), args.output)
+    _emit(serialize.to_dot(_load(args.cr, serialize.loads)), args.output)
     return 0
 
 

@@ -44,10 +44,14 @@ flows; keys are unique, so the bytes are those of sorting the flows' key
 pairs.
 Loading is strict: unknown or missing fields raise :class:`SchemaError`,
 and an error in one interface or flow object names its place in the
-document (``flows[3].to: ...``).  Each distinct interface object is checked
-once per document: an object equal to one checked before, the same fields
-with the same values in the same order, makes the same interface without a
-second check.
+document (``flows[3].to: ...``).  :func:`loads` makes each object its value
+as the JSON decoder reads it, so no document tree is kept: an interface
+object becomes its interface, and a flow object its flow.  Each distinct
+interface object is checked once per document: an object equal to one
+checked before, the same fields with the same values in the same order,
+makes the same interface without a second check.  A document that is
+refused is read again, as a tree, by :func:`cr_from_dict`, which gives the
+error its place.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ _KINDS = {"explicit": Explicit, "implicit": Implicit}
 _FIELDS = {kind: ("kind", *cls.__slots__) for kind, cls in _KINDS.items()}
 _FIELD_SETS = {kind: frozenset(fields) for kind, fields in _FIELDS.items()}
 _FLOW_FIELDS = frozenset({"from", "to"})
+_GRAPH_FIELDS = frozenset({"interfaces", "flows"})
 
 
 def _ranked(interfaces: Iterable[InterfaceId],
@@ -137,7 +142,7 @@ def cr_to_dict(cr: CommonRepresentation) -> dict[str, Any]:
 
 
 def cr_from_dict(obj: Any) -> CommonRepresentation:
-    strict_object(obj, {"interfaces", "flows"}, "graph")
+    strict_object(obj, _GRAPH_FIELDS, "graph")
     if not isinstance(obj["interfaces"], list) or not isinstance(obj["flows"], list):
         raise SchemaError("graph: 'interfaces' and 'flows' must be arrays")
     # The interface each object checked so far made, keyed by its fields and
@@ -194,21 +199,60 @@ def dumps(cr: CommonRepresentation) -> str:
     return '{\n  "interfaces": ' + _array(blocks) + ',\n  "flows": ' + _array(flows) + "\n}\n"
 
 
-def decode_json(text: str, source: str = "") -> Any:
-    """Decode JSON text; :class:`SchemaError`, prefixed with ``source`` when
-    given, for text that is not JSON or nests too deeply to decode."""
-    prefix = f"{source}: " if source else ""
+def decode_json(text: str) -> Any:
+    """Decode JSON text; :class:`SchemaError` for text that is not JSON or
+    nests too deeply to decode."""
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise SchemaError(f"{prefix}invalid JSON: {exc}") from exc
+        raise SchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError:
-        raise SchemaError(f"{prefix}invalid JSON: nested too deeply to decode") from None
+        raise SchemaError("invalid JSON: nested too deeply to decode") from None
 
 
 def loads(text: str) -> CommonRepresentation:
     """Parse JSON text into a graph; :class:`SchemaError` on malformed input,
-    :class:`ValidationError` on a graph that is not valid."""
+    :class:`ValidationError` on a graph that is not valid.
+
+    The decoder hands each object to ``convert`` as it completes it, inner
+    objects first: a valid interface object becomes its interface, and a
+    flow object with two different interfaces at its ends becomes its flow,
+    so no document tree is kept.  Any other object stays a dict.  A valid
+    document thus decodes to two arrays of interfaces and flows, which the
+    graph's constructor checks as :func:`cr_from_dict` would; any other
+    document is read again, as a tree, by :func:`cr_from_dict`, which words
+    and locates its error.
+    """
+    # The interface each interface object checked so far made, keyed as in
+    # :func:`cr_from_dict`.
+    made: dict[tuple, InterfaceId] = {}
+
+    def convert(obj: dict[str, Any]) -> Any:
+        if obj.keys() == _FLOW_FIELDS:
+            try:
+                return Flow(obj["from"], obj["to"])
+            except (TypeError, ValueError):  # an end that is not an interface, or a self-flow
+                return obj
+        try:
+            key = (*obj, *obj.values())
+            iface = made.get(key)
+            if iface is None:
+                iface = made[key] = interface_from_dict(obj)
+        except (TypeError, SchemaError, ValidationError):  # TypeError: a value that cannot be hashed
+            return obj
+        return iface
+
+    try:
+        doc = json.loads(text, object_hook=convert)
+    except (ValueError, RecursionError):  # not JSON: the error path words it
+        doc = None
+    if type(doc) is dict and doc.keys() == _GRAPH_FIELDS:
+        interfaces, flows = doc["interfaces"], doc["flows"]
+        if type(interfaces) is list and type(flows) is list:
+            try:
+                return CommonRepresentation(interfaces, flows)
+            except TypeError:  # an item that is not an interface, or not a flow
+                pass
     return cr_from_dict(decode_json(text))
 
 

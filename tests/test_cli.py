@@ -387,6 +387,29 @@ def test_every_policy_and_rule_file_error_names_the_file_once(tmp_path, capsys, 
     assert err.count(files["bad"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{graph}", "{graph}", "-o", "{out}"], ["analyze", "{graph}", "{graph}"],
+     ["check", "{graph}", "--lively", "-o", "{out}"],
+     ["compose", "rule", "{graph}", "{graph}", "--rule", "{rule}"]],
+    ids=["analyze-output", "analyze-stdout", "check-output", "compose-rule"],
+)
+def test_a_report_naming_a_file_whose_name_is_not_utf8_is_utf8_json(tmp_path, capsys, argv):
+    # A byte that is not UTF-8 in a file name reads as a lone surrogate (surrogateescape).
+    graph = os.fsdecode(os.fsencode(tmp_path) + b"/g\xff.json")
+    try:
+        Path(graph).write_text(dumps(EMPTY_CR), encoding="utf-8")
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    files = {"graph": graph, "rule": write(tmp_path, "rule.json", RULE_DOC),
+             "out": str(tmp_path / "out.json")}
+    code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 0 and err == ""
+    text = Path(files["out"]).read_text(encoding="utf-8") if "-o" in argv else out
+    assert "\udcff" not in text and "\\udcff" in text
+    assert json.loads(text)["inputs"][0] == graph
+
+
 class TestAnalyze:
     def test_worked_pair(self, tmp_path, capsys):
         cr1 = write_cr(tmp_path, "cr1.json", CommonRepresentation({A, B, C}, {Flow(A, C), Flow(B, C)}))

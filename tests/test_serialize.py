@@ -1,11 +1,13 @@
+import copy
 import gc
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from infoflow import model
+from infoflow import model, serialize
 from infoflow import (
     CommonRepresentation,
     Explicit,
@@ -175,41 +177,44 @@ def test_loads_rejects_an_integer_too_long_to_convert():
         loads("[" + "1" * 5000 + "]")
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"interfaces": []},
-        {"interfaces": [], "flows": [], "extra": 1},
-        {"interfaces": {}, "flows": []},
-        {"interfaces": [{"kind": "explicit", "entity": "a"}], "flows": []},
-        {"interfaces": [{"kind": "explicit", "entity": "a", "mode": "X"}], "flows": []},
-        {"interfaces": [{"kind": "nope", "entity": "a", "mode": "R"}], "flows": []},
-        {"interfaces": [{"kind": "implicit", "agent": "a", "label": "x", "mode": "R"}], "flows": []},
-        {"interfaces": [{"kind": "implicit", "agent": 3, "label": "x"}], "flows": []},
-        {"interfaces": [], "flows": [{"from": {"kind": "implicit", "agent": "a", "label": "x"}}]},
-    ],
-)
+SCHEMA_VIOLATIONS = [
+    {"interfaces": []},
+    {"interfaces": [], "flows": [], "extra": 1},
+    {"interfaces": {}, "flows": []},
+    {"interfaces": [{"kind": "explicit", "entity": "a"}], "flows": []},
+    {"interfaces": [{"kind": "explicit", "entity": "a", "mode": "X"}], "flows": []},
+    {"interfaces": [{"kind": "nope", "entity": "a", "mode": "R"}], "flows": []},
+    {"interfaces": [{"kind": "implicit", "agent": "a", "label": "x", "mode": "R"}], "flows": []},
+    {"interfaces": [{"kind": "implicit", "agent": 3, "label": "x"}], "flows": []},
+    {"interfaces": [], "flows": [{"from": {"kind": "implicit", "agent": "a", "label": "x"}}]},
+]
+
+
+@pytest.mark.parametrize("doc", SCHEMA_VIOLATIONS)
 def test_schema_violations_rejected(doc):
     with pytest.raises(SchemaError):
         cr_from_dict(doc)
 
 
+BAD_INTERFACES = [
+    ({"kind": "nope", "entity": "a", "mode": "R"},
+     "interfaces[0]: kind must be 'explicit' or 'implicit', got 'nope'"),
+    ({"kind": ["explicit"], "entity": "a", "mode": "R"},
+     "interfaces[0]: kind must be 'explicit' or 'implicit', got ['explicit']"),
+    ({"kind": "explicit", "entity": "a", "mode": "X"},
+     "interfaces[0]: mode must be 'R' or 'W', got 'X'"),
+    ({"kind": "explicit", "entity": "a", "mode": 1},
+     "interfaces[0]: mode must be 'R' or 'W', got 1"),
+    ({"kind": "explicit", "entity": None, "mode": "R"},
+     "interfaces[0].entity: expected a string, got NoneType"),
+    ({"kind": "implicit", "agent": "a", "label": 3},
+     "interfaces[0].label: expected a string, got int"),
+]
+
+
 @pytest.mark.parametrize(
     "iface, message",
-    [
-        ({"kind": "nope", "entity": "a", "mode": "R"},
-         "interfaces[0]: kind must be 'explicit' or 'implicit', got 'nope'"),
-        ({"kind": ["explicit"], "entity": "a", "mode": "R"},
-         "interfaces[0]: kind must be 'explicit' or 'implicit', got ['explicit']"),
-        ({"kind": "explicit", "entity": "a", "mode": "X"},
-         "interfaces[0]: mode must be 'R' or 'W', got 'X'"),
-        ({"kind": "explicit", "entity": "a", "mode": 1},
-         "interfaces[0]: mode must be 'R' or 'W', got 1"),
-        ({"kind": "explicit", "entity": None, "mode": "R"},
-         "interfaces[0].entity: expected a string, got NoneType"),
-        ({"kind": "implicit", "agent": "a", "label": 3},
-         "interfaces[0].label: expected a string, got int"),
-    ],
+    BAD_INTERFACES,
     ids=["kind", "kind-not-a-string", "mode", "mode-not-a-string", "entity", "label"],
 )
 def test_schema_error_message(iface, message):
@@ -231,23 +236,26 @@ def test_undeclared_endpoint_in_document_is_a_validation_error():
     assert str(caught.value) == "flow a#x -> b#x references undeclared interface b#x"
 
 
+BAD_PLACES = [
+    ([IFACE_A, dict(IFACE_A, agent="a#b")], [], ValidationError,
+     "interfaces[1]: interface 'a#b#x' has '#' in its agent"),
+    ([IFACE_A], [{"from": dict(IFACE_A, agent="a#b"), "to": IFACE_A}], ValidationError,
+     "flows[0].from: interface 'a#b#x' has '#' in its agent"),
+    # A bad copy of an object that was valid earlier in the document.
+    ([IFACE_A], [{"from": IFACE_A, "to": dict(IFACE_A, agent="a#")}], ValidationError,
+     "flows[0].to: interface 'a##x' has '#' in its agent"),
+    ([IFACE_A], [{"from": IFACE_A, "to": dict(IFACE_A, label=3)}], SchemaError,
+     "flows[0].to.label: expected a string, got int"),
+    ([IFACE_A], [{"from": IFACE_A, "to": {**IFACE_A, "mode": "R"}}], SchemaError,
+     "flows[0].to: unknown field 'mode'"),
+    ([IFACE_A], [{"from": IFACE_A, "to": {"kind": "implicit", "agent": "a", "entity": "x"}}],
+     SchemaError, "flows[0].to: missing field 'label'"),
+]
+
+
 @pytest.mark.parametrize(
     "interfaces, flows, error, message",
-    [
-        ([IFACE_A, dict(IFACE_A, agent="a#b")], [], ValidationError,
-         "interfaces[1]: interface 'a#b#x' has '#' in its agent"),
-        ([IFACE_A], [{"from": dict(IFACE_A, agent="a#b"), "to": IFACE_A}], ValidationError,
-         "flows[0].from: interface 'a#b#x' has '#' in its agent"),
-        # A bad copy of an object that was valid earlier in the document.
-        ([IFACE_A], [{"from": IFACE_A, "to": dict(IFACE_A, agent="a#")}], ValidationError,
-         "flows[0].to: interface 'a##x' has '#' in its agent"),
-        ([IFACE_A], [{"from": IFACE_A, "to": dict(IFACE_A, label=3)}], SchemaError,
-         "flows[0].to.label: expected a string, got int"),
-        ([IFACE_A], [{"from": IFACE_A, "to": {**IFACE_A, "mode": "R"}}], SchemaError,
-         "flows[0].to: unknown field 'mode'"),
-        ([IFACE_A], [{"from": IFACE_A, "to": {"kind": "implicit", "agent": "a", "entity": "x"}}],
-         SchemaError, "flows[0].to: missing field 'label'"),
-    ],
+    BAD_PLACES,
     ids=["bad-name", "bad-name-in-from", "bad-name-copy", "not-a-string-copy", "extra-field-copy",
          "renamed-field-copy"],
 )
@@ -267,7 +275,8 @@ SPOILS = st.tuples(
     st.sampled_from(["kind", "entity", "mode", "agent", "label"]),
     SPOILERS,
 ) | st.tuples(st.integers(min_value=0), st.just("name"), st.none(),
-              st.sampled_from(["zz", "a#b", ""]))
+              st.sampled_from(["zz", "a#b", ""])) \
+  | st.tuples(st.integers(min_value=0), st.just("move"), st.integers(min_value=0), st.none())
 
 
 def spoil(obj, how, field, value):
@@ -293,18 +302,97 @@ def outcome(load, text):
         return type(exc), str(exc)
 
 
+# A graph whose places are: 0 and 1 its interfaces, 2 its flow, 3 and 4 the
+# flow's ends, 5 the whole document.
+AB = CommonRepresentation({A, B}, {Flow(A, B)})
+
+
 @given(graphs() | graphs(INTERFACES), st.lists(SPOILS, max_size=3))
-@example(CommonRepresentation({A, B}, {Flow(A, B)}), [(4, "rename", "entity", None)])
+@example(AB, [(4, "rename", "entity", None)])
+@example(AB, [(2, "move", 0, None)])  # an interface object as a flows item
+@example(AB, [(1, "move", 2, None)])  # a flow object as an interface
+@example(AB, [(3, "move", 2, None)])  # a flow object as a flow end
+@example(AB, [(5, "move", 0, None)])  # an interface object as the document
 def test_loads_agrees_with_a_loader_that_checks_every_occurrence(g, spoils):
-    doc = json.loads(dumps(g))
+    """Each spoil changes the object at one place (``spoil``), or, for
+    "move", puts there a copy of the object at another place."""
+    top = {"graph": json.loads(dumps(g))}
+    doc = top["graph"]
     places = [(doc[array], n) for array in ("interfaces", "flows") for n in range(len(doc[array]))]
     places += [(flow, end) for flow in doc["flows"] for end in ("from", "to")]
+    places.append((top, "graph"))
     for n, how, field, value in spoils:
-        if places:
-            holder, key = places[n % len(places)]
+        holder, key = places[n % len(places)]
+        if how == "move":
+            source, at = places[field % len(places)]
+            holder[key] = copy.deepcopy(source[at])
+        else:
             holder[key] = spoil(holder[key], how, field, value)
-    text = json.dumps(doc)
+    text = json.dumps(top["graph"])
     assert outcome(loads, text) == outcome(strict_loads, text)
+
+
+def tree_walk(text):
+    return cr_from_dict(json.loads(text))
+
+
+# Every document the cases above refuse.
+REFUSED = [
+    *SCHEMA_VIOLATIONS,
+    *({"interfaces": [iface], "flows": []} for iface, _ in BAD_INTERFACES),
+    *({"interfaces": interfaces, "flows": flows} for interfaces, flows, _, _ in BAD_PLACES),
+    {"interfaces": [IFACE_A], "flows": [{"from": IFACE_A, "to": IFACE_A}]},
+    {"interfaces": [IFACE_A], "flows": [{"from": IFACE_A, "to": dict(IFACE_A, agent="b")}]},
+]
+
+
+@pytest.mark.parametrize("doc", REFUSED)
+def test_loads_refuses_a_document_with_the_error_of_the_tree_walk(doc):
+    text = json.dumps(doc)
+    refused = outcome(tree_walk, text)
+    assert type(refused) is tuple
+    assert outcome(loads, text) == refused
+
+
+@given(graphs() | graphs(INTERFACES))
+def test_a_valid_document_never_reaches_the_tree_walk(g):
+    text = dumps(g)
+    doc = json.loads(text)
+    # Keys in reverse order, and a flow end that is a copy of another object.
+    doc["interfaces"] = [dict(reversed(obj.items())) for obj in doc["interfaces"]]
+    doc["flows"] = [{"to": copy.deepcopy(flow["to"]), "from": flow["from"]} for flow in doc["flows"]]
+
+    def refuse(obj):
+        raise AssertionError("the tree walk ran on a valid document")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "cr_from_dict", refuse)
+        patch.setattr(serialize, "decode_json", refuse)
+        assert loads(text) == g
+        assert loads(json.dumps(doc)) == g
+
+
+def test_loads_peaks_below_the_document_tree():
+    """The decoder's tree of a graph with 2000 flows takes more memory at
+    its peak than loading the graph does from start to end."""
+    objects = [Explicit(f"o{n}", mode) for n in range(50) for mode in Mode]
+    agents = [Implicit(f"s{n}", "x") for n in range(100)]
+    g = CommonRepresentation(
+        {*objects, *agents},
+        {Flow(objects[n % 100], agents[n // 20]) for n in range(2000)})
+    text = dumps(g)
+    del g, objects, agents
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(loads(text).flows) == 2000
+    assert peak(loads) < peak(json.loads)
 
 
 def test_the_memo_lives_for_one_document():
