@@ -20,6 +20,7 @@ built on the first :func:`main` call, loads :mod:`argparse`, and
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
@@ -73,9 +74,12 @@ def _emit(text: str, output: Optional[str]) -> None:
     file in the same directory, which then takes the target's name, so a
     failed write leaves the old file whole.  The new file gets the
     permission bits ``open(output, "w")`` would give it.  Devices and pipes
-    (``/dev/null``, ``/dev/stdout``) are written in place.
+    (``/dev/null``, ``/dev/stdout``) are written in place.  A closed stdout
+    is an :class:`OSError`, as a failed write to ``output`` is.
     """
     if output is None:
+        if sys.stdout is None:  # file descriptor 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         sys.stdout.write(text)
         return
     target = os.path.realpath(output)

@@ -485,7 +485,8 @@ def grant(i1: InterfaceId, i2: InterfaceId, cr: CommonRepresentation) -> GrantRe
 
     UNDEFINED when the graph is not authoritative over both interfaces
     (either one is undeclared), PERMIT when the flow is present, DENY
-    otherwise.  Never raises; all outcomes are values.
+    otherwise.  Given two interfaces and a graph it never raises: every
+    outcome, an undeclared interface's too, is a value.
     """
     if i1 not in cr.interfaces or i2 not in cr.interfaces:
         return GrantResult.UNDEFINED

@@ -46,12 +46,13 @@ Loading is strict: unknown or missing fields raise :class:`SchemaError`,
 and an error in one interface or flow object names its place in the
 document (``flows[3].to: ...``).  :func:`loads` makes each object its value
 as the JSON decoder reads it, so no document tree is kept: an interface
-object becomes its interface, and a flow object its flow.  Each distinct
-interface object is checked once per document: an object equal to one
+object becomes its interface, and a flow object its flow.  It checks each
+distinct interface object once per document: an object equal to one
 checked before, the same fields with the same values in the same order,
-makes the same interface without a second check.  A document that is
-refused is read again, as a tree, by :func:`cr_from_dict`, which gives the
-error its place.
+makes the same interface without a second check.  A document that
+:func:`loads` refuses is read again, as a tree, by :func:`cr_from_dict`,
+which checks every occurrence of an interface object and words the error
+with its place.
 """
 
 from __future__ import annotations
@@ -145,27 +146,13 @@ def cr_from_dict(obj: Any) -> CommonRepresentation:
     strict_object(obj, _GRAPH_FIELDS, "graph")
     if not isinstance(obj["interfaces"], list) or not isinstance(obj["flows"], list):
         raise SchemaError("graph: 'interfaces' and 'flows' must be arrays")
-    # The interface each object checked so far made, keyed by its fields and
-    # then their values, in document order: an equal object later on makes
-    # the same interface unchecked.  Only a check builds a location.
-    made: dict[tuple, InterfaceId] = {}
-
-    def interface(item: Any, where: str, n: int) -> InterfaceId:
-        try:
-            iface = made.get((*item, *item.values()))
-        except (AttributeError, TypeError):  # not a dict, or a value that cannot be hashed
-            iface = None
-        if iface is None:
-            iface = made[(*item, *item.values())] = interface_from_dict(item, where % n)
-        return iface
-
-    interfaces = {interface(item, "interfaces[%d]", n) for n, item in enumerate(obj["interfaces"])}
+    interfaces = {interface_from_dict(item, f"interfaces[{n}]")
+                  for n, item in enumerate(obj["interfaces"])}
     flows = set()
     for n, item in enumerate(obj["flows"]):
-        if type(item) is not dict or item.keys() != _FLOW_FIELDS:  # locate only an error
-            strict_object(item, _FLOW_FIELDS, f"flows[{n}]")
-        src = interface(item["from"], "flows[%d].from", n)
-        dst = interface(item["to"], "flows[%d].to", n)
+        strict_object(item, _FLOW_FIELDS, f"flows[{n}]")
+        src = interface_from_dict(item["from"], f"flows[{n}].from")
+        dst = interface_from_dict(item["to"], f"flows[{n}].to")
         try:
             flows.add(Flow(src, dst))
         except ValueError as exc:
@@ -223,8 +210,8 @@ def loads(text: str) -> CommonRepresentation:
     document is read again, as a tree, by :func:`cr_from_dict`, which words
     and locates its error.
     """
-    # The interface each interface object checked so far made, keyed as in
-    # :func:`cr_from_dict`.
+    # The interface each interface object checked so far made, keyed by the
+    # object's fields and then their values, in document order.
     made: dict[tuple, InterfaceId] = {}
 
     def convert(obj: dict[str, Any]) -> Any:

@@ -410,6 +410,32 @@ def test_a_report_naming_a_file_whose_name_is_not_utf8_is_utf8_json(tmp_path, ca
     assert json.loads(text)["inputs"][0] == graph
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["translate", "{policy}"],
+        ["check", "{graph}", "--lively"],
+        ["export-dot", "{graph}"],
+        ["compose", "rule", "{graph}", "{graph}", "--rule", "{rule}", "-o", "{out}"],
+    ],
+    ids=["translate", "check", "export-dot", "compose-rule"],
+)
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
+    # With file descriptor 1 closed at start-up, Python sets sys.stdout to
+    # None; the rule op's decision report goes to stdout even with -o.
+    files = {"policy": write(tmp_path, "acl.json", ACL_DOC),
+             "graph": write_cr(tmp_path, "graph.json", EMPTY_CR),
+             "rule": write(tmp_path, "rule.json", RULE_DOC), "out": str(tmp_path / "out.json")}
+    env = dict(os.environ, PYTHONPATH=str(Path(infoflow.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "infoflow", *[arg.format(**files) for arg in argv]],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+
 class TestAnalyze:
     def test_worked_pair(self, tmp_path, capsys):
         cr1 = write_cr(tmp_path, "cr1.json", CommonRepresentation({A, B, C}, {Flow(A, C), Flow(B, C)}))

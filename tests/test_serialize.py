@@ -302,6 +302,10 @@ def outcome(load, text):
         return type(exc), str(exc)
 
 
+def tree_walk(text):
+    return cr_from_dict(json.loads(text))
+
+
 # A graph whose places are: 0 and 1 its interfaces, 2 its flow, 3 and 4 the
 # flow's ends, 5 the whole document.
 AB = CommonRepresentation({A, B}, {Flow(A, B)})
@@ -330,10 +334,7 @@ def test_loads_agrees_with_a_loader_that_checks_every_occurrence(g, spoils):
             holder[key] = spoil(holder[key], how, field, value)
     text = json.dumps(top["graph"])
     assert outcome(loads, text) == outcome(strict_loads, text)
-
-
-def tree_walk(text):
-    return cr_from_dict(json.loads(text))
+    assert outcome(tree_walk, text) == outcome(strict_loads, text)
 
 
 # Every document the cases above refuse.
